@@ -186,9 +186,7 @@ fn initial_counts(idxs: &[&InvertedIndex], n: usize, threads: usize) -> Vec<usiz
 /// yields both the next seed (the maximum) and the Eq. 2 top-`k` marginal
 /// sum in one sweep.
 pub fn greedy_max_coverage(rr: &RrCollection, cfg: &GreedyConfig<'_>) -> GreedyOutcome {
-    let prep = effective_prep_threads(cfg.threads, rr.len(), rr.total_nodes(), available_cores());
-    let idx = InvertedIndex::build_parallel(rr, prep);
-    greedy_over_indexes(&[rr], &[&idx], cfg, prep)
+    greedy_max_coverage_sharded(&[rr], cfg)
 }
 
 /// [`greedy_max_coverage`] over a *sharded* pool: each element of
@@ -205,25 +203,9 @@ pub fn greedy_max_coverage_sharded(
     shards: &[&RrCollection],
     cfg: &GreedyConfig<'_>,
 ) -> GreedyOutcome {
-    let total_sets: usize = shards.iter().map(|rr| rr.len()).sum();
-    let total_mass: usize = shards.iter().map(|rr| rr.total_nodes()).sum();
-    let prep = effective_prep_threads(cfg.threads, total_sets, total_mass, available_cores());
-    let idxs: Vec<InvertedIndex> = if prep > 1 && shards.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|rr| scope.spawn(move || InvertedIndex::build(rr)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard index builder panicked"))
-                .collect()
-        })
-    } else {
-        shards.iter().map(|rr| InvertedIndex::build(rr)).collect()
-    };
-    let idx_refs: Vec<&InvertedIndex> = idxs.iter().collect();
-    greedy_over_indexes(shards, &idx_refs, cfg, prep)
+    with_indexes(shards, None, cfg.threads, |idxs, prep| {
+        greedy_over_indexes(shards, idxs, cfg, prep)
+    })
 }
 
 /// [`greedy_max_coverage_sharded`] with caller-owned per-shard inverted
@@ -235,21 +217,143 @@ pub fn greedy_max_coverage_indexed(
     idxs: &[&InvertedIndex],
     cfg: &GreedyConfig<'_>,
 ) -> GreedyOutcome {
-    let total_sets: usize = shards.iter().map(|rr| rr.len()).sum();
-    let total_mass: usize = shards.iter().map(|rr| rr.total_nodes()).sum();
-    let prep = effective_prep_threads(cfg.threads, total_sets, total_mass, available_cores());
-    greedy_over_indexes(shards, idxs, cfg, prep)
+    with_indexes(shards, Some(idxs), cfg.threads, |idxs, prep| {
+        greedy_over_indexes(shards, idxs, cfg, prep)
+    })
 }
 
-/// The merged greedy loop shared by the single-pool and sharded entry
-/// points. `prep_threads` is the already-clamped worker count for the
-/// initial-count pass.
+/// A `k`-independent record of one greedy pass: the picks, their prefix
+/// coverages, and the Eq. 2 coverage bound for **every** stopping point
+/// up to the pass's `bound_terms`.
+///
+/// Greedy's picks never depend on where it stops: the lazy heap pops
+/// fresh entries in strict `(marginal, out-degree, id)` order, so pick
+/// `i + 1` is the maximum current key whatever `select` or
+/// `bound_terms` is, and the fresh list popped at step `i` is exactly the
+/// top current marginals. `bound_terms` only decides how many of those
+/// the Eq. 2 sum reads. One pass at `K` therefore answers every `k ≤ K`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GreedyTrace {
+    /// Selected nodes in pick order (`select` of them, fewer only when
+    /// the candidates run out).
+    pub seeds: Vec<NodeId>,
+    /// `prefix_coverage[i] = Λ(S_i)` including `base_covered`.
+    pub prefix_coverage: Vec<usize>,
+    /// `coverage_upper[k]` for `k ≤ bound_terms`: the
+    /// [`GreedyOutcome::coverage_upper`] of the pass with `bound_terms =
+    /// k` and `select = k.saturating_sub(bound_terms - select)` over the
+    /// same input (`f64::INFINITY` at `k = 0`). With `select = k - b`
+    /// this is HIST phase 2's offset, with `b = 0` the standard greedy.
+    pub coverage_upper: Vec<f64>,
+}
+
+/// Runs one greedy pass under `cfg` and records its [`GreedyTrace`].
+/// Requires `cfg.select <= cfg.bound_terms`. Pass cached per-shard
+/// indexes through `idxs` to skip the build.
+pub fn greedy_trace_sharded(
+    shards: &[&RrCollection],
+    idxs: Option<&[&InvertedIndex]>,
+    cfg: &GreedyConfig<'_>,
+) -> GreedyTrace {
+    assert!(
+        cfg.select <= cfg.bound_terms,
+        "a trace needs a bound term per pick"
+    );
+    let max_k = cfg.bound_terms;
+    let offset = max_k - cfg.select;
+    let mut upper = vec![f64::INFINITY; max_k + 1];
+    let (seeds, prefix_coverage) = with_indexes(shards, idxs, cfg.threads, |idxs, prep| {
+        greedy_loop(shards, idxs, cfg, prep, |step, lambda, fresh| {
+            // Stopping point `k` reads step `i` iff `i <= select(k)`.
+            let k_lo = if step == 0 { 1 } else { step + offset };
+            let mut marginal_sum = 0usize;
+            for (k, bound) in upper.iter_mut().enumerate().skip(1) {
+                if let Some(&(c, _, _)) = fresh.get(k - 1) {
+                    marginal_sum += c;
+                }
+                if k >= k_lo {
+                    *bound = bound.min((lambda + marginal_sum) as f64);
+                }
+            }
+        })
+    });
+    GreedyTrace {
+        seeds,
+        prefix_coverage,
+        coverage_upper: upper,
+    }
+}
+
+/// Runs `f` over per-shard inverted indexes — the caller's when given,
+/// otherwise built here (concurrently per shard, or with a parallel
+/// single-pool build, when the prep-thread clamp allows) — together with
+/// the clamped prep thread count.
+fn with_indexes<R>(
+    shards: &[&RrCollection],
+    idxs: Option<&[&InvertedIndex]>,
+    threads: usize,
+    f: impl FnOnce(&[&InvertedIndex], usize) -> R,
+) -> R {
+    let total_sets: usize = shards.iter().map(|rr| rr.len()).sum();
+    let total_mass: usize = shards.iter().map(|rr| rr.total_nodes()).sum();
+    let prep = effective_prep_threads(threads, total_sets, total_mass, available_cores());
+    if let Some(idxs) = idxs {
+        return f(idxs, prep);
+    }
+    let built: Vec<InvertedIndex> = match shards {
+        [rr] => vec![InvertedIndex::build_parallel(rr, prep)],
+        _ if prep > 1 => std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|rr| scope.spawn(move || InvertedIndex::build(rr)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard index builder panicked"))
+                .collect()
+        }),
+        _ => shards.iter().map(|rr| InvertedIndex::build(rr)).collect(),
+    };
+    let refs: Vec<&InvertedIndex> = built.iter().collect();
+    f(&refs, prep)
+}
+
+/// One greedy pass stopping at `cfg.select` with the single Eq. 2 bound
+/// for `cfg.bound_terms`.
 fn greedy_over_indexes(
     shards: &[&RrCollection],
     idxs: &[&InvertedIndex],
     cfg: &GreedyConfig<'_>,
     prep_threads: usize,
 ) -> GreedyOutcome {
+    let mut upper = f64::INFINITY;
+    let (seeds, prefix_coverage) =
+        greedy_loop(shards, idxs, cfg, prep_threads, |_, lambda, fresh| {
+            let marginal_sum: usize = fresh.iter().map(|&(c, _, _)| c).sum();
+            upper = upper.min((lambda + marginal_sum) as f64);
+        });
+    GreedyOutcome {
+        seeds,
+        prefix_coverage,
+        coverage_upper: upper,
+    }
+}
+
+/// The merged greedy loop behind every entry point. `prep_threads` is
+/// the already-clamped worker count for the initial-count pass.
+///
+/// At each step `i = 0..=cfg.select` (before pick `i + 1`, and once more
+/// after the last pick) it pops the `cfg.bound_terms` best current
+/// entries and hands `(i, Λ(S_i), fresh)` to `observe`, best first.
+/// With `bound_terms == 0` nothing is observed. Returns the picks and
+/// their prefix coverages.
+fn greedy_loop(
+    shards: &[&RrCollection],
+    idxs: &[&InvertedIndex],
+    cfg: &GreedyConfig<'_>,
+    prep_threads: usize,
+    mut observe: impl FnMut(usize, usize, &[(usize, u32, NodeId)]),
+) -> (Vec<NodeId>, Vec<usize>) {
     assert!(!shards.is_empty(), "need at least one shard");
     assert_eq!(shards.len(), idxs.len(), "one index per shard");
     let n = shards[0].graph_n();
@@ -271,10 +375,12 @@ fn greedy_over_indexes(
     let mut lambda = cfg.base_covered;
     let mut prefix = Vec::with_capacity(cfg.select + 1);
     prefix.push(lambda);
-    let mut upper = f64::INFINITY;
 
     // Pops up to `want` entries whose stored count is current, returning
     // them ordered best-first. Stale entries are re-pushed corrected.
+    // Every unselected node keeps exactly one entry whose stored count
+    // is at least its current one, so the fresh entries come out as the
+    // `want` largest current keys — whatever `want` is.
     let pop_fresh = |heap: &mut BinaryHeap<(usize, u32, NodeId)>,
                      count: &[usize],
                      selected: &[bool],
@@ -294,23 +400,22 @@ fn greedy_over_indexes(
         fresh
     };
 
-    for _round in 0..cfg.select {
-        let want = cfg.bound_terms.max(1);
-        let fresh = pop_fresh(&mut heap, &count, &selected, want);
-
-        if cfg.bound_terms > 0 {
-            let marginal_sum: usize = fresh.iter().map(|&(c, _, _)| c).sum();
-            upper = upper.min((lambda + marginal_sum) as f64);
+    for step in 0..=cfg.select {
+        if step == cfg.select && cfg.bound_terms == 0 {
+            break; // no final bound term to observe
         }
-
-        // The next seed: the best fresh entry, or an arbitrary unselected
-        // node once every remaining marginal is zero and the heap drained.
-        let seed = match fresh.first() {
-            Some(&(_, _, v)) => v,
-            None => match (0..n as NodeId).find(|&v| !selected[v as usize]) {
-                Some(v) => v,
-                None => break, // select > n: nothing left to pick
-            },
+        let fresh = pop_fresh(&mut heap, &count, &selected, cfg.bound_terms.max(1));
+        if cfg.bound_terms > 0 {
+            observe(step, lambda, &fresh);
+        }
+        if step == cfg.select {
+            break;
+        }
+        // The next seed: the best fresh entry. The heap holds every
+        // unselected node (zero marginals included), so it only drains
+        // once `select` exceeds the candidates: nothing left to pick.
+        let Some(&(_, _, seed)) = fresh.first() else {
+            break;
         };
         // Return the unpicked fresh entries for later rounds.
         for &entry in fresh.iter().skip(1) {
@@ -336,19 +441,7 @@ fn greedy_over_indexes(
         seeds.push(seed);
         prefix.push(lambda);
     }
-
-    // Final bound term at i = select.
-    if cfg.bound_terms > 0 {
-        let fresh = pop_fresh(&mut heap, &count, &selected, cfg.bound_terms);
-        let marginal_sum: usize = fresh.iter().map(|&(c, _, _)| c).sum();
-        upper = upper.min((lambda + marginal_sum) as f64);
-    }
-
-    GreedyOutcome {
-        seeds,
-        prefix_coverage: prefix,
-        coverage_upper: upper,
-    }
+    (seeds, prefix)
 }
 
 /// Reference greedy using degree buckets instead of a lazy heap — the
@@ -728,6 +821,111 @@ mod tests {
         let out = greedy_max_coverage_sharded(&[&empty, &rr, &empty], &GreedyConfig::standard(2));
         assert_eq!(out.seeds, reference.seeds);
         assert_eq!(out.prefix_coverage, reference.prefix_coverage);
+    }
+
+    /// Brute-force greedy: recounts every marginal from scratch at each
+    /// step and sorts them for the Eq. 2 sum — no heap, no laziness.
+    /// Returns picks, prefix coverages and the bound at every `k ≤ K`
+    /// for stopping point `select(k) = k.saturating_sub(offset)`.
+    fn naive_trace(
+        rr: &RrCollection,
+        g: Option<&Graph>,
+        exclude: &[NodeId],
+        base: usize,
+        max_k: usize,
+        offset: usize,
+    ) -> (Vec<NodeId>, Vec<usize>, Vec<f64>) {
+        let n = rr.graph_n();
+        let mut covered = vec![false; rr.len()];
+        let mut taken: Vec<bool> = (0..n).map(|v| exclude.contains(&(v as NodeId))).collect();
+        let (mut seeds, mut prefix) = (Vec::new(), vec![base]);
+        let mut upper = vec![f64::INFINITY; max_k + 1];
+        let steps = max_k.saturating_sub(offset);
+        for step in 0..=steps {
+            let mut keys: Vec<(usize, u32, NodeId)> = (0..n as NodeId)
+                .filter(|&v| !taken[v as usize])
+                .map(|v| {
+                    let gain = (0..rr.len())
+                        .filter(|&i| !covered[i] && rr.get(i).contains(&v))
+                        .count();
+                    (gain, g.map_or(0, |g| g.out_degree(v) as u32), v)
+                })
+                .collect();
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            let lambda = *prefix.last().unwrap();
+            for (k, bound) in upper.iter_mut().enumerate().skip(1) {
+                if step <= k.saturating_sub(offset) {
+                    let sum: usize = keys.iter().take(k).map(|e| e.0).sum();
+                    *bound = bound.min((lambda + sum) as f64);
+                }
+            }
+            if step == steps || keys.is_empty() {
+                break;
+            }
+            let (gain, _, v) = keys[0];
+            taken[v as usize] = true;
+            for (i, c) in covered.iter_mut().enumerate() {
+                *c |= rr.get(i).contains(&v);
+            }
+            seeds.push(v);
+            prefix.push(lambda + gain);
+        }
+        (seeds, prefix, upper)
+    }
+
+    #[test]
+    fn trace_matches_brute_force_greedy_at_every_k() {
+        use subsim_diffusion::{RrContext, RrSampler, RrStrategy};
+        use subsim_graph::generators::barabasi_albert;
+        use subsim_sampling::rng_from_seed;
+
+        let g = barabasi_albert(60, 2, WeightModel::Wc, 95);
+        let sampler = RrSampler::new(&g, RrStrategy::SubsimIc);
+        let mut ctx = RrContext::new(g.n());
+        let mut rng = rng_from_seed(96);
+        let mut rr = RrCollection::new(g.n());
+        rr.generate(&sampler, &mut ctx, &mut rng, 400);
+        let max_k = 14;
+        for (exclude, base, tie) in [
+            (vec![], 0usize, None),
+            (vec![], 0, Some(&g)),
+            (vec![3, 0, 7], 11, Some(&g)),
+        ] {
+            let offset = exclude.len();
+            let cfg = GreedyConfig {
+                select: max_k - offset,
+                bound_terms: max_k,
+                tie_break: tie,
+                base_covered: base,
+                exclude: &exclude,
+                threads: 1,
+            };
+            let trace = greedy_trace_sharded(&[&rr], None, &cfg);
+            let (seeds, prefix, upper) = naive_trace(&rr, tie, &exclude, base, max_k, offset);
+            assert_eq!(trace.seeds, seeds, "offset={offset}");
+            assert_eq!(trace.prefix_coverage, prefix, "offset={offset}");
+            assert_eq!(trace.coverage_upper, upper, "offset={offset}");
+            // And each stopping point reads what a pass stopping there
+            // computes on its own.
+            for k in 0..=max_k {
+                let own = greedy_max_coverage(
+                    &rr,
+                    &GreedyConfig {
+                        select: k.saturating_sub(offset),
+                        bound_terms: k,
+                        ..cfg
+                    },
+                );
+                let select = k.saturating_sub(offset).min(trace.seeds.len());
+                assert_eq!(trace.seeds[..select], own.seeds, "k={k} offset={offset}");
+                assert_eq!(
+                    trace.prefix_coverage[..=select],
+                    own.prefix_coverage,
+                    "k={k}"
+                );
+                assert_eq!(trace.coverage_upper[k], own.coverage_upper, "k={k}");
+            }
+        }
     }
 
     #[test]

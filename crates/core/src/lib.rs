@@ -39,8 +39,8 @@ pub use certificate::{certify_seed_set, certify_seed_set_auto, InfluenceCertific
 pub use error::ImError;
 pub use options::ImOptions;
 pub use pool::{
-    evaluate_pool, evaluate_pool_par, evaluate_pool_sharded, evaluate_pool_sharded_indexed,
-    evaluate_pool_timed, evaluate_pool_timed_par, PoolEvaluation,
+    evaluate_pool, evaluate_pool_par, evaluate_pool_sharded, PoolEvaluation, PoolTrace,
+    SelectionTrace,
 };
 pub use result::{ImResult, RunStats};
 pub use sentinel::{evaluate_pool_sentinel, evaluate_pool_sentinel_sharded, SentinelSet};

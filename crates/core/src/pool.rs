@@ -10,11 +10,8 @@
 //! same sample across many `(k, ε)` queries without regenerating it.
 
 use crate::bounds::{opim_lower_bound, opim_upper_bound};
-use crate::coverage::{
-    greedy_max_coverage_indexed, greedy_max_coverage_sharded, GreedyConfig, GreedyOutcome,
-};
-use std::time::{Duration, Instant};
-use subsim_diffusion::{InvertedIndex, NodeMarks, RrCollection};
+use crate::coverage::{greedy_trace_sharded, GreedyConfig};
+use subsim_diffusion::{InvertedIndex, RrCollection};
 use subsim_graph::NodeId;
 
 /// Outcome of one OPIM certification round over an external pool pair.
@@ -99,27 +96,7 @@ pub fn evaluate_pool_sharded(
     delta_u: f64,
     threads: usize,
 ) -> PoolEvaluation {
-    let n = check_shards(r1s, r2s);
-    let out = greedy_max_coverage_sharded(r1s, &GreedyConfig::standard(k).with_threads(threads));
-    finish_evaluation(out, r1s, r2s, n, delta_l, delta_u)
-}
-
-/// [`evaluate_pool_sharded`] with caller-owned per-shard inverted
-/// indexes over the `R₁` shards — the serving path caches one index per
-/// published shard snapshot, so a warm query skips the index build.
-pub fn evaluate_pool_sharded_indexed(
-    r1s: &[&RrCollection],
-    idxs: &[&InvertedIndex],
-    r2s: &[&RrCollection],
-    k: usize,
-    delta_l: f64,
-    delta_u: f64,
-    threads: usize,
-) -> PoolEvaluation {
-    let n = check_shards(r1s, r2s);
-    let out =
-        greedy_max_coverage_indexed(r1s, idxs, &GreedyConfig::standard(k).with_threads(threads));
-    finish_evaluation(out, r1s, r2s, n, delta_l, delta_u)
+    PoolTrace::build(r1s, None, r2s, k, threads).read(k, delta_l, delta_u)
 }
 
 pub(crate) fn check_shards(r1s: &[&RrCollection], r2s: &[&RrCollection]) -> usize {
@@ -138,57 +115,202 @@ pub(crate) fn check_shards(r1s: &[&RrCollection], r2s: &[&RrCollection]) -> usiz
     n
 }
 
-fn finish_evaluation(
-    out: GreedyOutcome,
-    r1s: &[&RrCollection],
-    r2s: &[&RrCollection],
+/// The `R₁` side of a certification round for every `k` up to
+/// [`SelectionTrace::max_k`] at once: the seeds in pick order, their
+/// prefix coverages of `R₁`, and the Eq. 2 coverage bound per `k`.
+///
+/// Built by one greedy pass at `max_k` (see
+/// [`crate::coverage::GreedyTrace`] for why the picks and bounds at any
+/// smaller `k` are prefixes of that pass); reading it at `k` gives the
+/// `R₁` half of the round a fresh pass at `k` would run, bit for bit.
+/// Holds `O(max_k)` words — no index, heap or counts survive the build.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectionTrace {
     n: usize,
-    delta_l: f64,
-    delta_u: f64,
-) -> PoolEvaluation {
-    let r1_len: u64 = r1s.iter().map(|rr| rr.len() as u64).sum();
-    let r2_len: u64 = r2s.iter().map(|rr| rr.len() as u64).sum();
-    let upper = opim_upper_bound(out.coverage_upper, r1_len, n, delta_u);
-    let mut marks = NodeMarks::new();
-    let coverage_r2: usize = r2s
-        .iter()
-        .map(|r2| r2.coverage_of_with(&out.seeds, &mut marks))
-        .sum();
-    let lower = opim_lower_bound(coverage_r2 as f64, r2_len, n, delta_l);
-    PoolEvaluation {
-        coverage_r1: out.coverage(),
-        seeds: out.seeds,
-        coverage_r2,
-        lower,
-        upper,
+    r1_len: u64,
+    seeds: Vec<NodeId>,
+    /// `coverage_r1[j] = Λ_{R₁}(seeds[..j])`.
+    coverage_r1: Vec<usize>,
+    /// `coverage_upper[k]`: the Eq. 2 coverage bound at `k`.
+    coverage_upper: Vec<f64>,
+}
+
+impl SelectionTrace {
+    /// Runs the standard greedy (Algorithm 1) over `r1s` at `k` and
+    /// records its trace. Pass cached per-shard inverted indexes through
+    /// `idxs` to skip the build.
+    pub fn build(
+        r1s: &[&RrCollection],
+        idxs: Option<&[&InvertedIndex]>,
+        k: usize,
+        threads: usize,
+    ) -> Self {
+        let cfg = GreedyConfig::standard(k).with_threads(threads);
+        let out = greedy_trace_sharded(r1s, idxs, &cfg);
+        Self::from_parts(r1s, out.seeds, out.prefix_coverage, out.coverage_upper)
+    }
+
+    /// Assembles a trace from its tables (`coverage_r1[j]` covers
+    /// `seeds[..j]`; `coverage_upper[k]` for every `k ≤ max_k`).
+    pub(crate) fn from_parts(
+        r1s: &[&RrCollection],
+        seeds: Vec<NodeId>,
+        coverage_r1: Vec<usize>,
+        coverage_upper: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(coverage_r1.len(), seeds.len() + 1);
+        SelectionTrace {
+            n: r1s[0].graph_n(),
+            r1_len: r1s.iter().map(|rr| rr.len() as u64).sum(),
+            seeds,
+            coverage_r1,
+            coverage_upper,
+        }
+    }
+
+    /// The largest `k` this trace answers.
+    pub fn max_k(&self) -> usize {
+        self.coverage_upper.len() - 1
+    }
+
+    /// The seeds a round at `k` returns.
+    pub fn seeds(&self, k: usize) -> &[NodeId] {
+        self.check(k);
+        &self.seeds[..k.min(self.seeds.len())]
+    }
+
+    /// `Λ_{R₁}` of [`SelectionTrace::seeds`] at `k`.
+    pub fn coverage_r1(&self, k: usize) -> usize {
+        self.check(k);
+        self.coverage_r1[k.min(self.seeds.len())]
+    }
+
+    /// The Eq. 2 upper bound on `𝕀(S^o_k)` at failure probability
+    /// `delta_u`.
+    pub fn upper(&self, k: usize, delta_u: f64) -> f64 {
+        self.check(k);
+        opim_upper_bound(self.coverage_upper[k], self.r1_len, self.n, delta_u)
+    }
+
+    /// Node count of the graph the pool samples.
+    pub fn graph_n(&self) -> usize {
+        self.n
+    }
+
+    /// Every seed the trace holds, in pick order.
+    pub fn all_seeds(&self) -> &[NodeId] {
+        &self.seeds
+    }
+
+    fn check(&self, k: usize) {
+        assert!(
+            k <= self.max_k(),
+            "trace built at k = {} cannot answer k = {k}",
+            self.max_k()
+        );
     }
 }
 
-/// [`evaluate_pool`] plus the wall-clock time of the round — the
-/// instrumented entry point serving layers use to attribute query latency
-/// to certification (greedy + bounds) as opposed to RR generation.
-pub fn evaluate_pool_timed(
-    r1: &RrCollection,
-    r2: &RrCollection,
-    k: usize,
-    delta_l: f64,
-    delta_u: f64,
-) -> (PoolEvaluation, Duration) {
-    evaluate_pool_timed_par(r1, r2, k, delta_l, delta_u, 1)
+/// A [`SelectionTrace`] plus the exact validation side: the seeds'
+/// prefix coverages of `R₂`. Reading it at any `k ≤ max_k` gives the
+/// [`PoolEvaluation`] a fresh round at `k` computes, bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PoolTrace {
+    selection: SelectionTrace,
+    r2_len: u64,
+    /// `coverage_r2[j] = Λ_{R₂}(seeds[..j])`.
+    coverage_r2: Vec<usize>,
 }
 
-/// [`evaluate_pool_par`] plus the wall-clock time of the round.
-pub fn evaluate_pool_timed_par(
-    r1: &RrCollection,
-    r2: &RrCollection,
-    k: usize,
-    delta_l: f64,
-    delta_u: f64,
-    threads: usize,
-) -> (PoolEvaluation, Duration) {
-    let start = Instant::now();
-    let eval = evaluate_pool_par(r1, r2, k, delta_l, delta_u, threads);
-    (eval, start.elapsed())
+impl PoolTrace {
+    /// Builds the plain-pool trace at `k` (standard greedy over `r1s`,
+    /// exact coverage over `r2s`).
+    pub fn build(
+        r1s: &[&RrCollection],
+        idxs: Option<&[&InvertedIndex]>,
+        r2s: &[&RrCollection],
+        k: usize,
+        threads: usize,
+    ) -> Self {
+        check_shards(r1s, r2s);
+        Self::validate(SelectionTrace::build(r1s, idxs, k, threads), r2s)
+    }
+
+    /// Completes `selection` with the exact validation side over `r2s`
+    /// — one pass over `R₂`, however long the trace.
+    pub fn validate(selection: SelectionTrace, r2s: &[&RrCollection]) -> Self {
+        PoolTrace {
+            r2_len: r2s.iter().map(|rr| rr.len() as u64).sum(),
+            coverage_r2: prefix_coverages(r2s, &selection.seeds, selection.n),
+            selection,
+        }
+    }
+
+    /// The selection side.
+    pub fn selection(&self) -> &SelectionTrace {
+        &self.selection
+    }
+
+    /// The largest `k` this trace answers.
+    pub fn max_k(&self) -> usize {
+        self.selection.max_k()
+    }
+
+    /// The certification round at `k` (`k ≤ max_k`).
+    pub fn read(&self, k: usize, delta_l: f64, delta_u: f64) -> PoolEvaluation {
+        let sel = &self.selection;
+        let seeds = sel.seeds(k);
+        let coverage_r2 = self.coverage_r2[seeds.len()];
+        PoolEvaluation {
+            seeds: seeds.to_vec(),
+            coverage_r1: sel.coverage_r1(k),
+            coverage_r2,
+            lower: opim_lower_bound(coverage_r2 as f64, self.r2_len, sel.n, delta_l),
+            upper: sel.upper(k, delta_u),
+        }
+    }
+}
+
+/// `out[j]` = sets of `rrs` that meet `seeds[..j]`, for every `j ≤
+/// seeds.len()`, in one pass: each set is charged to its earliest seed.
+/// `seeds` must be distinct.
+pub(crate) fn prefix_coverages(rrs: &[&RrCollection], seeds: &[NodeId], n: usize) -> Vec<usize> {
+    let mut first_hit = vec![0usize; seeds.len() + 1];
+    let pos = seed_positions(seeds, n);
+    for rr in rrs {
+        for set in rr.iter() {
+            first_hit[earliest(set, &pos, seeds.len())] += 1;
+        }
+    }
+    // `first_hit[seeds.len()]` counts the sets no seed meets; it falls
+    // off the end of the running sum.
+    let mut out = Vec::with_capacity(seeds.len() + 1);
+    let mut acc = 0usize;
+    out.push(0);
+    for &c in &first_hit[..seeds.len()] {
+        acc += c;
+        out.push(acc);
+    }
+    out
+}
+
+/// `pos[v]` = `v`'s index in `seeds`, `seeds.len()` for non-seeds.
+pub(crate) fn seed_positions(seeds: &[NodeId], n: usize) -> Vec<u32> {
+    let none = seeds.len() as u32;
+    let mut pos = vec![none; n];
+    for (j, &v) in seeds.iter().enumerate() {
+        debug_assert_eq!(pos[v as usize], none, "seed {v} repeats");
+        pos[v as usize] = j as u32;
+    }
+    pos
+}
+
+/// The earliest seed position in `set`, `none` when it meets no seed.
+pub(crate) fn earliest(set: &[NodeId], pos: &[u32], none: usize) -> usize {
+    set.iter()
+        .map(|&v| pos[v as usize] as usize)
+        .min()
+        .unwrap_or(none)
 }
 
 #[cfg(test)]
@@ -249,9 +371,6 @@ mod tests {
             let eval = evaluate_pool_par(&r1, &r2, 6, 0.01, 0.02, threads);
             assert_eq!(eval, reference, "threads={threads}");
         }
-        let (timed, elapsed) = evaluate_pool_timed_par(&r1, &r2, 6, 0.01, 0.02, 3);
-        assert_eq!(timed, reference);
-        assert!(elapsed > Duration::ZERO);
     }
 
     #[test]
@@ -279,8 +398,12 @@ mod tests {
 
             let idxs: Vec<InvertedIndex> = p1.iter().map(InvertedIndex::build).collect();
             let idx_refs: Vec<&InvertedIndex> = idxs.iter().collect();
-            let eval = evaluate_pool_sharded_indexed(&r1s, &idx_refs, &r2s, 5, 0.01, 0.02, 1);
-            assert_eq!(eval, reference, "indexed shards={shards}");
+            let trace = PoolTrace::build(&r1s, Some(&idx_refs), &r2s, 5, 1);
+            assert_eq!(
+                trace.read(5, 0.01, 0.02),
+                reference,
+                "indexed shards={shards}"
+            );
         }
     }
 

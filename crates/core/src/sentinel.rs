@@ -37,10 +37,11 @@
 //! bit-identical to a plain pool, but every answer it returns carries the
 //! same `(1 - 1/e - ε, δ)` certificate, checked per query.
 
-use crate::bounds::{opim_lower_bound, opim_upper_bound};
-use crate::coverage::{greedy_max_coverage_sharded, GreedyConfig};
-use crate::pool::{check_shards, PoolEvaluation};
-use subsim_diffusion::{NodeMarks, RrCollection};
+use crate::coverage::{greedy_max_coverage_sharded, greedy_trace_sharded, GreedyConfig};
+use crate::pool::{
+    check_shards, earliest, seed_positions, PoolEvaluation, PoolTrace, SelectionTrace,
+};
+use subsim_diffusion::RrCollection;
 use subsim_graph::{Graph, NodeId};
 
 /// A sentinel set pinned to one graph version.
@@ -147,59 +148,92 @@ pub fn evaluate_pool_sentinel_sharded(
     if sentinel.is_empty() {
         return crate::pool::evaluate_pool_sharded(r1s, r2s, k, delta_l, delta_u, threads);
     }
-    let n = check_shards(r1s, r2s);
-    let z = sentinel.nodes();
-    let b = z.len();
-    let mut marks = NodeMarks::new();
+    PoolTrace::build_sentinel(r1s, r2s, sentinel, g, k, threads).read(k, delta_l, delta_u)
+}
 
-    // Line 5 of Algorithm 8: sets the sentinel covers carry zero marginal
-    // coverage for the extension picks; count them as base coverage. On a
-    // truncated pool most sets are covered, so the filtered greedy runs
-    // over a small residue — the selection-time half of HIST's speedup.
-    let mut base = 0usize;
-    let filtered: Vec<RrCollection> = r1s
-        .iter()
-        .map(|rr| {
-            let (f, covered) = rr.filter_not_covering_with(z, &mut marks);
-            base += covered;
-            f
-        })
-        .collect();
-    let refs: Vec<&RrCollection> = filtered.iter().collect();
-    let cfg = GreedyConfig {
-        select: k.saturating_sub(b),
-        bound_terms: k,
-        tie_break: Some(g),
-        base_covered: base,
-        exclude: z,
-        threads,
-    };
-    let out = greedy_max_coverage_sharded(&refs, &cfg);
+impl SelectionTrace {
+    /// The sentinel-pool trace at `k` (HIST phase 2, Algorithm 8): the
+    /// seeds are `Z` in pick order followed by the revised greedy's
+    /// extension picks, so a read at `k < |Z|` gives the prefix `Z[..k]`
+    /// and a read at `k ≥ |Z|` gives `Z` plus `k - |Z|` picks — exactly
+    /// what [`evaluate_pool_sentinel_sharded`] returns at that `k`.
+    /// `sentinel` must be non-empty.
+    pub fn build_sentinel(
+        r1s: &[&RrCollection],
+        sentinel: &SentinelSet,
+        g: &Graph,
+        k: usize,
+        threads: usize,
+    ) -> Self {
+        let z = sentinel.nodes();
+        let b = z.len();
+        assert!(b > 0, "the sentinel trace needs a sentinel");
+        let n = r1s[0].graph_n();
 
-    let mut seeds: Vec<NodeId> = z[..b.min(k)].to_vec();
-    seeds.extend_from_slice(&out.seeds);
+        // Line 5 of Algorithm 8: sets the sentinel covers carry zero
+        // marginal coverage for the extension picks; count them as base
+        // coverage. On a truncated pool most sets are covered, so the
+        // filtered greedy runs over a small residue — the selection-time
+        // half of HIST's speedup. Charging each covered set to its
+        // earliest sentinel also yields `Λ_{R₁}(Z[..j])` for every `j`.
+        let pos = seed_positions(z, n);
+        let mut first_hit = vec![0usize; b + 1];
+        let filtered: Vec<RrCollection> = r1s
+            .iter()
+            .map(|rr| {
+                let mut kept = RrCollection::new(n);
+                for set in rr.iter() {
+                    let j = earliest(set, &pos, b);
+                    if j == b {
+                        kept.push(set);
+                    } else {
+                        first_hit[j] += 1;
+                    }
+                }
+                kept
+            })
+            .collect();
+        let mut coverage_r1 = Vec::with_capacity(k.max(b) + 1);
+        coverage_r1.push(0);
+        for &c in &first_hit[..b.min(k)] {
+            coverage_r1.push(coverage_r1.last().unwrap() + c);
+        }
+        let base: usize = first_hit[..b].iter().sum();
 
-    let r1_len: u64 = r1s.iter().map(|rr| rr.len() as u64).sum();
-    let r2_len: u64 = r2s.iter().map(|rr| rr.len() as u64).sum();
-    let upper = opim_upper_bound(out.coverage_upper, r1_len, n, delta_u);
-    let coverage_r1 = if k >= b {
-        out.coverage()
-    } else {
-        r1s.iter()
-            .map(|rr| rr.coverage_of_with(&seeds, &mut marks))
-            .sum()
-    };
-    let coverage_r2: usize = r2s
-        .iter()
-        .map(|rr| rr.coverage_of_with(&seeds, &mut marks))
-        .sum();
-    let lower = opim_lower_bound(coverage_r2 as f64, r2_len, n, delta_l);
-    PoolEvaluation {
-        seeds,
-        coverage_r1,
-        coverage_r2,
-        lower,
-        upper,
+        let refs: Vec<&RrCollection> = filtered.iter().collect();
+        let cfg = GreedyConfig {
+            select: k.saturating_sub(b),
+            bound_terms: k,
+            tie_break: Some(g),
+            base_covered: base,
+            exclude: z,
+            threads,
+        };
+        let out = greedy_trace_sharded(&refs, None, &cfg);
+        let mut seeds: Vec<NodeId> = z[..b.min(k)].to_vec();
+        seeds.extend_from_slice(&out.seeds);
+        // `prefix_coverage[0]` is `Λ(Z) = base`, already the last entry
+        // when `k ≥ b`.
+        coverage_r1.extend_from_slice(&out.prefix_coverage[1..]);
+        SelectionTrace::from_parts(r1s, seeds, coverage_r1, out.coverage_upper)
+    }
+}
+
+impl PoolTrace {
+    /// The sentinel-pool trace at `k`: [`SelectionTrace::build_sentinel`]
+    /// validated by exact prefix coverages over `r2s`. Reads match
+    /// [`evaluate_pool_sentinel_sharded`] bit for bit.
+    pub fn build_sentinel(
+        r1s: &[&RrCollection],
+        r2s: &[&RrCollection],
+        sentinel: &SentinelSet,
+        g: &Graph,
+        k: usize,
+        threads: usize,
+    ) -> Self {
+        check_shards(r1s, r2s);
+        let selection = SelectionTrace::build_sentinel(r1s, sentinel, g, k, threads);
+        PoolTrace::validate(selection, r2s)
     }
 }
 

@@ -24,17 +24,16 @@ use crate::versioned::VersionedGraph;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_timed_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
+use subsim_core::sentinel::SentinelSet;
 use subsim_core::ImOptions;
 use subsim_diffusion::pool::WorkerPool;
 use subsim_diffusion::{RrCollection, RrSampler};
 use subsim_graph::Graph;
 use subsim_index::{
-    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, QueryAnswer, QueryStats, SentinelState,
-    R2_STREAM, SENTINEL_WARMUP_CHUNKS,
+    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, PoolView, QueryAnswer, QueryStats,
+    SentinelState, TraceCell, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
 };
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION};
+use subsim_sketch::{SketchedPool, MAX_PRECISION};
 
 /// One immutable published serving state: the graph at one version plus
 /// the pool generated (or repaired) against exactly that version.
@@ -51,9 +50,29 @@ pub struct DeltaSnapshot {
     /// Sketched validation tier at publish time: when active, `r2` stays
     /// empty and validation runs over per-node count-distinct sketches.
     sketch: Option<SketchedPool>,
+    /// This snapshot's selection trace, built by its first
+    /// certification round (never carried into a successor).
+    trace: TraceCell,
 }
 
 impl DeltaSnapshot {
+    /// The certification view of this snapshot.
+    fn view(&self, threads: usize) -> PoolView<'_> {
+        PoolView::single(
+            &self.graph,
+            &self.r1,
+            &self.r2,
+            self.sentinel.as_ref(),
+            self.sketch.as_ref(),
+            threads,
+        )
+    }
+
+    /// Refreshes `metrics`' resident-memory gauges from this snapshot.
+    fn record_gauges(&self, metrics: &IndexMetrics) {
+        metrics.record_pools([&self.r1, &self.r2], self.sketch.as_ref());
+    }
+
     /// The graph version this snapshot serves.
     pub fn version(&self) -> u64 {
         self.version
@@ -171,7 +190,10 @@ impl ConcurrentDeltaIndex {
             chunks,
             sentinel,
             sketch,
+            trace: TraceCell::default(),
         };
+        let metrics = IndexMetrics::default();
+        snap.record_gauges(&metrics);
         ConcurrentDeltaIndex {
             config,
             snapshot: RwLock::new(Arc::new(snap)),
@@ -179,7 +201,7 @@ impl ConcurrentDeltaIndex {
                 vg,
                 workers: WorkerPool::new(config.threads),
             }),
-            metrics: IndexMetrics::default(),
+            metrics,
         }
     }
 
@@ -198,6 +220,7 @@ impl ConcurrentDeltaIndex {
             chunks: arc.chunks,
             sentinel: arc.sentinel.clone(),
             sketch: arc.sketch.clone(),
+            trace: TraceCell::default(),
         });
         let mut config = self.config;
         // The ladder may have promoted past the construction-time
@@ -315,52 +338,16 @@ impl ConcurrentDeltaIndex {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            // Sentinel snapshots re-certify through the HIST-style round
-            // so the answer keeps the full (k, ε, δ) guarantee; sketched
-            // snapshots run the slack-adjusted round; plain snapshots run
-            // the standard OPIM round.
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &snap.sketch {
-                let t = Instant::now();
-                let eval = evaluate_pool_sketched(
-                    &snap.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                self.metrics.record_selection(t.elapsed());
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let (eval, cert_time) = match snap.sentinel.as_ref().filter(|st| !st.set.is_empty())
-                {
-                    Some(st) => {
-                        let t = Instant::now();
-                        let eval = evaluate_pool_sentinel(
-                            &snap.r1,
-                            &snap.r2,
-                            &st.set,
-                            &snap.graph,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval, t.elapsed())
-                    }
-                    None => evaluate_pool_timed_par(
-                        &snap.r1,
-                        &snap.r2,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                self.metrics.record_selection(cert_time);
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
+            // One tier-aware round (plain, sentinel or sketched), read
+            // from the snapshot's selection trace when it reaches `k`.
+            let round = snap.trace.certify(
+                || snap.view(self.config.threads),
+                k,
+                delta_iter,
+                target,
+                &self.metrics,
+            );
+            let (seeds, lower, upper) = (round.seeds, round.lower, round.upper);
             let certified = if upper <= 0.0 {
                 false
             } else {
@@ -387,7 +374,7 @@ impl ConcurrentDeltaIndex {
             // Error-adaptive ladder, as in the sequential index: a round
             // that failed on sketch slack promotes register precision
             // instead of growing the pool.
-            if slack_failed {
+            if round.slack_failed {
                 let observed = snap.sketch.as_ref().map(|sk| sk.precision());
                 if observed.is_some_and(|p| p < MAX_PRECISION) {
                     let (grown, added) = self.promote_sketch(observed.unwrap())?;
@@ -459,6 +446,7 @@ impl ConcurrentDeltaIndex {
             chunks: base.chunks,
             sentinel: base.sentinel.clone(),
             sketch: Some(fresh),
+            trace: TraceCell::default(),
         });
         self.publish(Arc::clone(&snap));
         Ok((snap, regenerated))
@@ -511,6 +499,7 @@ impl ConcurrentDeltaIndex {
             chunks: base.chunks,
             sentinel: out.sentinel,
             sketch: out.sketch,
+            trace: TraceCell::default(),
         });
         self.publish(Arc::clone(&snap));
         let dirty_chunks = out.dirty_chunks_r1 + out.dirty_chunks_r2;
@@ -657,6 +646,7 @@ impl ConcurrentDeltaIndex {
             chunks,
             sentinel,
             sketch,
+            trace: TraceCell::default(),
         });
         if added > 0 {
             self.publish(Arc::clone(&snap));
@@ -668,6 +658,7 @@ impl ConcurrentDeltaIndex {
     }
 
     fn publish(&self, snap: Arc<DeltaSnapshot>) {
+        snap.record_gauges(&self.metrics);
         *self.snapshot.write().expect("snapshot lock poisoned") = snap;
         self.metrics
             .snapshot_publishes

@@ -17,18 +17,17 @@ use crate::versioned::VersionedGraph;
 use std::path::Path;
 use std::time::Instant;
 use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_timed_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
+use subsim_core::sentinel::SentinelSet;
 use subsim_core::ImOptions;
 use subsim_diffusion::pool::WorkerPool;
 use subsim_diffusion::{RrCollection, RrSampler};
 use subsim_graph::Graph;
 use subsim_index::QueryStats;
 use subsim_index::{
-    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, QueryAnswer, RrIndex, SentinelState,
-    R2_STREAM, SENTINEL_WARMUP_CHUNKS,
+    certify, IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, PoolView, QueryAnswer, Round,
+    RrIndex, SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
 };
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION};
+use subsim_sketch::{SketchedPool, MAX_PRECISION};
 
 /// An RR-sketch index over a [`VersionedGraph`]: answers certified IM
 /// queries like [`RrIndex`] and absorbs graph deltas by incremental
@@ -279,51 +278,24 @@ impl DeltaIndex {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            // Sentinel pools re-certify through the HIST-style round so
-            // the answer keeps the full (k, ε, δ) guarantee; sketched
-            // pools run the slack-adjusted round; plain pools run the
-            // standard OPIM round. `slack_failed` is the error-adaptive
+            // One tier-aware round (plain, sentinel or sketched), greedy
+            // run fresh at `k`. `slack_failed` is the error-adaptive
             // ladder trigger (sketched pools only).
             let t = Instant::now();
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &self.sketch {
-                let eval = evaluate_pool_sketched(
-                    &self.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                match self.sentinel.as_ref().filter(|st| !st.set.is_empty()) {
-                    Some(st) => {
-                        let eval = evaluate_pool_sentinel(
-                            &self.r1,
-                            &self.r2,
-                            &st.set,
-                            g,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval.seeds, eval.lower, eval.upper, false)
-                    }
-                    None => {
-                        let (eval, _) = evaluate_pool_timed_par(
-                            &self.r1,
-                            &self.r2,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval.seeds, eval.lower, eval.upper, false)
-                    }
-                }
-            };
+            let view = PoolView::single(
+                g,
+                &self.r1,
+                &self.r2,
+                self.sentinel.as_ref(),
+                self.sketch.as_ref(),
+                self.config.threads,
+            );
+            let Round {
+                seeds,
+                lower,
+                upper,
+                slack_failed,
+            } = certify(&view, k, delta_iter, target);
             self.metrics.record_selection(t.elapsed());
             let certified = if upper <= 0.0 {
                 false

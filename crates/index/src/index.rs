@@ -1,16 +1,16 @@
 //! The amortized RR-sketch index.
 
+use crate::certify::{certify, PoolView, Round};
 use crate::error::IndexError;
 use crate::stats::{IndexCounters, QueryStats};
 use std::time::Instant;
 use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
+use subsim_core::sentinel::SentinelSet;
 use subsim_core::ImOptions;
 use subsim_diffusion::pool::{ChunkHook, WorkerPool};
 use subsim_diffusion::{RrCollection, RrSampler, RrStrategy};
 use subsim_graph::{Graph, NodeId};
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION, MIN_PRECISION};
+use subsim_sketch::{SketchedPool, MAX_PRECISION, MIN_PRECISION};
 
 /// Stream separator between the two pool halves: `R₂`'s chunk seeds are
 /// derived from `seed ^ R2_STREAM` so the halves are independent samples.
@@ -639,46 +639,24 @@ impl<'g> RrIndex<'g> {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            // Sentinel pools re-certify through the HIST-style round so
-            // the answer keeps the full (k, ε, δ) guarantee; sketched
-            // pools run the slack-adjusted round; plain pools run the
-            // standard OPIM round. `slack_failed` is the error-adaptive
+            // One tier-aware round (plain, sentinel or sketched), greedy
+            // run fresh at `k`. `slack_failed` is the error-adaptive
             // ladder trigger (sketched pools only): the certificate
             // failed because of sketch slack, not sample count.
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &self.sketch {
-                let eval = evaluate_pool_sketched(
-                    &self.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let eval = match &self.sentinel {
-                    Some(st) if !st.set.is_empty() => evaluate_pool_sentinel(
-                        &self.r1,
-                        &self.r2,
-                        &st.set,
-                        self.g,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                    _ => evaluate_pool_par(
-                        &self.r1,
-                        &self.r2,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
+            let view = PoolView::single(
+                self.g,
+                &self.r1,
+                &self.r2,
+                self.sentinel.as_ref(),
+                self.sketch.as_ref(),
+                self.config.threads,
+            );
+            let Round {
+                seeds,
+                lower,
+                upper,
+                slack_failed,
+            } = certify(&view, k, delta_iter, target);
             let certified = if upper <= 0.0 {
                 false
             } else {

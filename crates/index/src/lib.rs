@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+mod certify;
 mod error;
 mod fingerprint;
 mod index;
@@ -51,6 +52,7 @@ mod snapshot;
 mod stats;
 mod sync;
 
+pub use certify::{certify, PoolView, Round, TraceCell, Validation};
 pub use error::IndexError;
 pub use fingerprint::graph_fingerprint;
 pub use index::{

@@ -4,9 +4,10 @@
 //! swappable [`PoolSnapshot`] (the two RR halves plus the chunk cursor,
 //! held behind `Arc`) and a mutex-guarded writer that performs
 //! chunk-deterministic top-ups off to the side. Query threads briefly take
-//! a read lock only to clone the `Arc`, then run greedy + bounds entirely
-//! on their private snapshot — no lock is held during certification, and a
-//! snapshot can never be observed mid-growth (no torn reads by
+//! a read lock only to clone the `Arc`, then certify entirely on their
+//! private snapshot — reading its selection trace, or running greedy +
+//! bounds to build it (DESIGN.md §12) — with no lock held during greedy,
+//! and a snapshot can never be observed mid-growth (no torn reads by
 //! construction).
 //!
 //! Determinism is inherited, not re-proven: growth continues the same
@@ -27,6 +28,7 @@ pub use metrics::{
     quantile_ns, IndexMetrics, LatencyHistogram, MetricsSnapshot, TenantCounters, TenantMetrics,
 };
 
+use crate::certify::{PoolView, TraceCell};
 use crate::error::IndexError;
 use crate::index::{
     IndexConfig, QueryAnswer, RrIndex, SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
@@ -35,13 +37,12 @@ use crate::stats::QueryStats;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_timed_par;
-use subsim_core::sentinel::{evaluate_pool_sentinel, SentinelSet};
+use subsim_core::sentinel::SentinelSet;
 use subsim_core::ImOptions;
 use subsim_diffusion::pool::WorkerPool;
 use subsim_diffusion::{RrCollection, RrSampler};
 use subsim_graph::Graph;
-use subsim_sketch::{evaluate_pool_sketched, SketchedPool, MAX_PRECISION};
+use subsim_sketch::{SketchedPool, MAX_PRECISION};
 
 /// One immutable published state of the pool: both halves plus the RNG
 /// cursor that produced them. Readers hold an `Arc` to it and never see
@@ -56,9 +57,41 @@ pub struct PoolSnapshot {
     /// Sketched validation pool at publish time (`r2` is empty when
     /// present); immutable like the halves.
     sketch: Option<SketchedPool>,
+    /// This snapshot's selection trace, built by its first
+    /// certification round (never carried into a successor).
+    trace: TraceCell,
 }
 
 impl PoolSnapshot {
+    fn new(
+        r1: RrCollection,
+        r2: RrCollection,
+        chunks: u64,
+        sentinel: Option<SentinelState>,
+        sketch: Option<SketchedPool>,
+    ) -> Self {
+        PoolSnapshot {
+            r1,
+            r2,
+            chunks,
+            sentinel,
+            sketch,
+            trace: TraceCell::default(),
+        }
+    }
+
+    /// The certification view of this snapshot over `g`.
+    fn view<'a>(&'a self, g: &'a Graph, threads: usize) -> PoolView<'a> {
+        PoolView::single(
+            g,
+            &self.r1,
+            &self.r2,
+            self.sentinel.as_ref(),
+            self.sketch.as_ref(),
+            threads,
+        )
+    }
+
     /// Sets per pool half.
     pub fn pool_len(&self) -> usize {
         self.r1.len()
@@ -153,20 +186,18 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// unchanged; lifetime counters restart.
     pub fn from_index(index: RrIndex<'g>) -> Self {
         let (g, config, r1, r2, chunks, sentinel, sketch) = index.into_parts();
-        ConcurrentRrIndex {
+        let index = ConcurrentRrIndex {
             g,
             config,
             sampler: RrSampler::new(g, config.strategy),
-            snapshot: RwLock::new(Arc::new(PoolSnapshot {
-                r1,
-                r2,
-                chunks,
-                sentinel,
-                sketch,
-            })),
+            snapshot: RwLock::new(Arc::new(PoolSnapshot::new(
+                r1, r2, chunks, sentinel, sketch,
+            ))),
             writer: Mutex::new(WorkerPool::new(config.threads)),
             metrics: IndexMetrics::default(),
-        }
+        };
+        index.record_pool_gauges(&index.load());
+        index
     }
 
     /// Converts back into a sequential index over the current snapshot
@@ -174,12 +205,14 @@ impl<'g> ConcurrentRrIndex<'g> {
     /// reader can be left holding a stale view.
     pub fn into_index(self) -> RrIndex<'g> {
         let snap = self.snapshot.into_inner().expect("snapshot lock poisoned");
-        let snap = Arc::try_unwrap(snap).unwrap_or_else(|arc| PoolSnapshot {
-            r1: arc.r1.clone(),
-            r2: arc.r2.clone(),
-            chunks: arc.chunks,
-            sentinel: arc.sentinel.clone(),
-            sketch: arc.sketch.clone(),
+        let snap = Arc::try_unwrap(snap).unwrap_or_else(|arc| {
+            PoolSnapshot::new(
+                arc.r1.clone(),
+                arc.r2.clone(),
+                arc.chunks,
+                arc.sentinel.clone(),
+                arc.sketch.clone(),
+            )
         });
         let mut index = RrIndex::from_parts(self.g, self.config, snap.r1, snap.r2, snap.chunks);
         index
@@ -248,52 +281,16 @@ impl<'g> ConcurrentRrIndex<'g> {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            // Sentinel snapshots re-certify through the HIST-style round
-            // so the answer keeps the full (k, ε, δ) guarantee; sketched
-            // snapshots run the slack-adjusted round; plain snapshots run
-            // the standard OPIM round.
-            let (seeds, lower, upper, slack_failed) = if let Some(sk) = &snap.sketch {
-                let t = Instant::now();
-                let eval = evaluate_pool_sketched(
-                    &snap.r1,
-                    sk,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                self.metrics.record_selection(t.elapsed());
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let (eval, cert_time) = match snap.sentinel.as_ref().filter(|st| !st.set.is_empty())
-                {
-                    Some(st) => {
-                        let t = Instant::now();
-                        let eval = evaluate_pool_sentinel(
-                            &snap.r1,
-                            &snap.r2,
-                            &st.set,
-                            self.g,
-                            k,
-                            delta_iter,
-                            delta_iter,
-                            self.config.threads,
-                        );
-                        (eval, t.elapsed())
-                    }
-                    None => evaluate_pool_timed_par(
-                        &snap.r1,
-                        &snap.r2,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                self.metrics.record_selection(cert_time);
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
+            // One tier-aware round (plain, sentinel or sketched), read
+            // from the snapshot's selection trace when it reaches `k`.
+            let round = snap.trace.certify(
+                || snap.view(self.g, self.config.threads),
+                k,
+                delta_iter,
+                target,
+                &self.metrics,
+            );
+            let (seeds, lower, upper) = (round.seeds, round.lower, round.upper);
             let certified = if upper <= 0.0 {
                 false
             } else {
@@ -321,7 +318,7 @@ impl<'g> ConcurrentRrIndex<'g> {
             // Error-adaptive ladder, as in the sequential index: a round
             // that failed on sketch slack promotes register precision
             // instead of growing the pool.
-            if slack_failed {
+            if round.slack_failed {
                 let observed = snap.sketch.as_ref().map(|sk| sk.precision());
                 if observed.is_some_and(|p| p < MAX_PRECISION) {
                     let (grown, added) = self.promote_sketch(observed.unwrap())?;
@@ -379,13 +376,13 @@ impl<'g> ConcurrentRrIndex<'g> {
             fresh.absorb_batch(start, &b.rr);
             start = end;
         }
-        let snap = Arc::new(PoolSnapshot {
-            r1: base.r1.clone(),
-            r2: base.r2.clone(),
-            chunks: base.chunks,
-            sentinel: base.sentinel.clone(),
-            sketch: Some(fresh),
-        });
+        let snap = Arc::new(PoolSnapshot::new(
+            base.r1.clone(),
+            base.r2.clone(),
+            base.chunks,
+            base.sentinel.clone(),
+            Some(fresh),
+        ));
         *self.snapshot.write().expect("snapshot lock poisoned") = Arc::clone(&snap);
         self.metrics
             .snapshot_publishes
@@ -395,16 +392,10 @@ impl<'g> ConcurrentRrIndex<'g> {
     }
 
     /// Refreshes the resident-memory gauges from a freshly published
-    /// snapshot. Exact bytes use the sketch tier's accounting convention
-    /// (4 bytes per arena node entry + 8 per set of offset overhead) so
-    /// the compression ratio compares like with like.
+    /// snapshot.
     fn record_pool_gauges(&self, snap: &PoolSnapshot) {
-        let exact = 4 * (snap.r1.total_nodes() + snap.r2.total_nodes()) as u64
-            + 8 * (snap.r1.len() + snap.r2.len()) as u64;
-        let (sketch, displaced) = snap.sketch.as_ref().map_or((0, 0), |sk| {
-            (sk.resident_bytes(), sk.displaced_exact_bytes())
-        });
-        self.metrics.record_pool_bytes(exact, sketch, displaced);
+        self.metrics
+            .record_pools([&snap.r1, &snap.r2], snap.sketch.as_ref());
     }
 
     /// Grows the pool to at least `target_sets` per half, continuing the
@@ -517,13 +508,7 @@ impl<'g> ConcurrentRrIndex<'g> {
             chunks = end;
         }
 
-        let snap = Arc::new(PoolSnapshot {
-            r1,
-            r2,
-            chunks,
-            sentinel,
-            sketch,
-        });
+        let snap = Arc::new(PoolSnapshot::new(r1, r2, chunks, sentinel, sketch));
         if added > 0 {
             *self.snapshot.write().expect("snapshot lock poisoned") = Arc::clone(&snap);
             self.metrics

@@ -26,5 +26,7 @@ pub mod net;
 pub mod sharded;
 
 pub use net::frame::{encode_frame, FrameDecoder, FrameItem, HEADER_LEN};
-pub use net::server::{serve_framed, Listener, ServerConfig, ServerReport, SocketPathGuard};
+pub use net::server::{
+    serve_framed, JobQueuePoisoned, Listener, ServerConfig, ServerReport, SocketPathGuard,
+};
 pub use sharded::{ShardSnapshot, ShardedDeltaIndex, ShardedSnapshot};

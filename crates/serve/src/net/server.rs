@@ -57,6 +57,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
@@ -109,7 +110,25 @@ pub struct ServerReport {
     pub frames: u64,
     /// Reply frames written into connection buffers.
     pub replies: u64,
+    /// Jobs whose handler panicked; each was answered `err internal`
+    /// and its worker kept serving.
+    pub worker_panics: u64,
 }
+
+/// A worker found the shared job queue's lock poisoned and could take no
+/// more jobs. [`serve_framed`] fails with this error (wrapped in an
+/// [`io::Error`] of kind `Other`) instead of leaving admitted frames
+/// unanswered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobQueuePoisoned;
+
+impl std::fmt::Display for JobQueuePoisoned {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "worker job queue lock poisoned")
+    }
+}
+
+impl std::error::Error for JobQueuePoisoned {}
 
 /// Removes a bound unix-socket path when dropped, so a crashed or
 /// completed server never leaves a stale socket behind to trigger
@@ -274,6 +293,14 @@ enum DoneKind {
     Answered,
     Failed,
     DeltaApplied,
+    /// The job's handler panicked; the reply is `err internal`.
+    Panicked,
+}
+
+/// What a worker reports back to the reactor.
+enum WorkerMsg {
+    Done(Done),
+    Fatal(JobQueuePoisoned),
 }
 
 struct Done {
@@ -393,7 +420,7 @@ where
     S: ServeSink + ?Sized,
 {
     let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let (done_tx, done_rx) = mpsc::channel::<WorkerMsg>();
     let job_rx = Mutex::new(job_rx);
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_tx.set_nonblocking(true)?;
@@ -434,7 +461,7 @@ fn reactor_loop<S: ServeSink + ?Sized>(
     poller: &mut Poller,
     listeners: &[Listener],
     wake_rx: &UnixStream,
-    done_rx: &mpsc::Receiver<Done>,
+    done_rx: &mpsc::Receiver<WorkerMsg>,
     env: Env<'_, S>,
 ) -> io::Result<ServerReport> {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -450,7 +477,11 @@ fn reactor_loop<S: ServeSink + ?Sized>(
         for ev in batch {
             if ev.token == TOKEN_WAKE {
                 drain_wake(wake_rx);
-                while let Ok(done) = done_rx.try_recv() {
+                while let Ok(msg) = done_rx.try_recv() {
+                    let done = match msg {
+                        WorkerMsg::Done(done) => done,
+                        WorkerMsg::Fatal(e) => return Err(io::Error::other(e)),
+                    };
                     let token = done.conn;
                     if let Some(conn) = conns.get_mut(&token) {
                         handle_done(conn, done, &env, &mut draining, &mut report);
@@ -699,6 +730,10 @@ fn handle_done<S: ServeSink + ?Sized>(
         DoneKind::Answered => &conn.tenant.answered,
         DoneKind::Failed => &conn.tenant.failed,
         DoneKind::DeltaApplied => &conn.tenant.deltas,
+        DoneKind::Panicked => {
+            report.worker_panics += 1;
+            &conn.tenant.failed
+        }
     };
     counter.fetch_add(1, Ordering::Relaxed);
     conn.complete(done.seq, done.payload, report);
@@ -780,7 +815,7 @@ fn worker_loop<I, S>(
     index: &I,
     delta: f64,
     jobs: &Mutex<mpsc::Receiver<Job>>,
-    done_tx: mpsc::Sender<Done>,
+    done_tx: mpsc::Sender<WorkerMsg>,
     wake: &UnixStream,
     sink: &S,
 ) where
@@ -788,84 +823,162 @@ fn worker_loop<I, S>(
     S: ServeSink + ?Sized,
 {
     loop {
-        let job = match jobs.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => break,
+        // The guard is a temporary: the lock is held only while waiting
+        // for the next job, never while running one.
+        let next = match jobs.lock() {
+            Ok(rx) => rx.recv(),
+            Err(_) => {
+                let _ = done_tx.send(WorkerMsg::Fatal(JobQueuePoisoned));
+                let mut w = wake;
+                let _ = w.write(&[1u8]);
+                return;
+            }
         };
-        let done = match job.kind {
-            JobKind::Query {
-                line,
-                k,
-                epsilon,
-                pin,
-            } => match index.run_query(k, epsilon, delta, pin) {
-                Ok(answer) => {
-                    let payload = answer
-                        .seeds
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    sink.event(ServeEvent::Answered {
-                        line,
-                        stats: Box::new(answer.stats),
-                    });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::Answered,
-                        payload,
-                    }
-                }
-                Err(e) => {
-                    let error = LineError::Rejected(e);
-                    let payload = format!("err {error}");
-                    sink.event(ServeEvent::LineFailed { line, error });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::Failed,
-                        payload,
-                    }
-                }
-            },
-            JobKind::Delta { op } => match index.apply_delta_line(&op) {
-                Ok(rep) => {
-                    let payload = match index.version() {
-                        Some(v) => format!("ok delta v{v}"),
-                        None => "ok delta".into(),
-                    };
-                    sink.event(ServeEvent::DeltaApplied {
-                        op,
-                        report: Box::new(rep),
-                    });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::DeltaApplied,
-                        payload,
-                    }
-                }
-                Err(e) => {
-                    let error = LineError::Rejected(e);
-                    let payload = format!("err {error}");
-                    sink.event(ServeEvent::LineFailed {
-                        line: format!("delta {op}"),
-                        error,
-                    });
-                    Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        kind: DoneKind::Failed,
-                        payload,
-                    }
-                }
-            },
+        let Ok(job) = next else { break };
+        // A panicking handler answers `err internal` and the worker
+        // lives on, so the connection's reorder buffer never waits on a
+        // reply that cannot come.
+        let (kind, payload) =
+            panic::catch_unwind(AssertUnwindSafe(|| run_job(index, delta, job.kind, sink)))
+                .unwrap_or_else(|_| (DoneKind::Panicked, "err internal".to_string()));
+        let done = Done {
+            conn: job.conn,
+            seq: job.seq,
+            kind,
+            payload,
         };
-        if done_tx.send(done).is_err() {
+        if done_tx.send(WorkerMsg::Done(done)).is_err() {
             break;
         }
         let mut w = wake;
         let _ = w.write(&[1u8]);
+    }
+}
+
+/// Runs one job against the index and renders its reply.
+fn run_job<I, S>(index: &I, delta: f64, kind: JobKind, sink: &S) -> (DoneKind, String)
+where
+    I: ServeIndex,
+    S: ServeSink + ?Sized,
+{
+    match kind {
+        JobKind::Query {
+            line,
+            k,
+            epsilon,
+            pin,
+        } => match index.run_query(k, epsilon, delta, pin) {
+            Ok(answer) => {
+                let payload = answer
+                    .seeds
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                sink.event(ServeEvent::Answered {
+                    line,
+                    stats: Box::new(answer.stats),
+                });
+                (DoneKind::Answered, payload)
+            }
+            Err(e) => {
+                let error = LineError::Rejected(e);
+                let payload = format!("err {error}");
+                sink.event(ServeEvent::LineFailed { line, error });
+                (DoneKind::Failed, payload)
+            }
+        },
+        JobKind::Delta { op } => match index.apply_delta_line(&op) {
+            Ok(rep) => {
+                let payload = match index.version() {
+                    Some(v) => format!("ok delta v{v}"),
+                    None => "ok delta".into(),
+                };
+                sink.event(ServeEvent::DeltaApplied {
+                    op,
+                    report: Box::new(rep),
+                });
+                (DoneKind::DeltaApplied, payload)
+            }
+            Err(e) => {
+                let error = LineError::Rejected(e);
+                let payload = format!("err {error}");
+                sink.event(ServeEvent::LineFailed {
+                    line: format!("delta {op}"),
+                    error,
+                });
+                (DoneKind::Failed, payload)
+            }
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use subsim_delta::{RepairReport, ServeError};
+    use subsim_index::QueryAnswer;
+
+    /// An index no job reaches: the queue is poisoned before any runs.
+    struct Unreachable;
+
+    impl ServeIndex for Unreachable {
+        fn run_query(
+            &self,
+            _k: usize,
+            _epsilon: f64,
+            _delta: f64,
+            _pin: Option<u64>,
+        ) -> Result<QueryAnswer, ServeError> {
+            unreachable!("no job is taken from a poisoned queue")
+        }
+
+        fn apply_delta_line(&self, _op: &str) -> Result<RepairReport, ServeError> {
+            unreachable!("no job is taken from a poisoned queue")
+        }
+    }
+
+    #[test]
+    fn poisoned_job_queue_reports_a_typed_fault() {
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let jobs = Mutex::new(job_rx);
+        std::thread::scope(|scope| {
+            let jobs = &jobs;
+            let _ = scope
+                .spawn(move || {
+                    let _guard = jobs.lock().unwrap();
+                    panic!("poison the job queue");
+                })
+                .join();
+        });
+        assert!(jobs.is_poisoned());
+        job_tx
+            .send(Job {
+                conn: TOKEN_CONN_BASE,
+                seq: 0,
+                kind: JobKind::Delta {
+                    op: "+ 0 1 0.5".into(),
+                },
+            })
+            .unwrap();
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        worker_loop(
+            &Unreachable,
+            0.01,
+            &jobs,
+            done_tx,
+            &wake_tx,
+            &subsim_delta::NullSink,
+        );
+        assert!(matches!(
+            done_rx.try_recv(),
+            Ok(WorkerMsg::Fatal(JobQueuePoisoned))
+        ));
+        let mut byte = [0u8; 1];
+        assert_eq!((&wake_rx).read(&mut byte).unwrap(), 1, "reactor woken");
+        let err = io::Error::other(JobQueuePoisoned);
+        assert!(err.get_ref().unwrap().is::<JobQueuePoisoned>());
     }
 }

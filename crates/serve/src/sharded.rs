@@ -23,12 +23,14 @@
 //! # Merged selection
 //!
 //! Queries run the OPIM-C certification loop of
-//! [`subsim_delta::DeltaIndex`] verbatim, but the per-round evaluation is
-//! [`subsim_core::pool::evaluate_pool_sharded_indexed`]: per-shard
-//! coverage counts are summed into one global count vector, the greedy
-//! loop picks on the summed counts (identical heap keys, identical
-//! tie-breaks), and the Eq 1/Eq 2 certificate is evaluated on the union
-//! lengths. The answer — seeds, bounds, certification — is therefore
+//! [`subsim_delta::DeltaIndex`] verbatim, but each round certifies over
+//! the shard slices ([`subsim_index::PoolView`] with the cached
+//! per-shard indexes): per-shard coverage counts are summed into one
+//! global count vector, the greedy loop picks on the summed counts
+//! (identical heap keys, identical tie-breaks), and the Eq 1/Eq 2
+//! certificate is evaluated on the union lengths. The round is recorded
+//! as the published snapshot's selection trace, so later queries with a
+//! smaller `k` read it instead of re-running greedy. The answer — seeds, bounds, certification — is therefore
 //! **byte-identical** to the sequential `DeltaIndex` at every shard
 //! count, which the testkit simulator and a differential proptest
 //! enforce.
@@ -37,8 +39,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use subsim_core::bounds::{i_max, theta_max_opim, theta_zero};
-use subsim_core::pool::evaluate_pool_sharded_indexed;
-use subsim_core::sentinel::{evaluate_pool_sentinel_sharded, SentinelSet};
+use subsim_core::sentinel::SentinelSet;
 use subsim_core::ImOptions;
 use subsim_delta::{
     repair_half_indexed, repair_half_mapped, repair_sketch, DeltaError, GraphDelta, RepairReport,
@@ -48,10 +49,10 @@ use subsim_diffusion::pool::{PoolError, WorkerPool};
 use subsim_diffusion::{InvertedIndex, RrCollection, RrSampler};
 use subsim_graph::{Graph, NodeId};
 use subsim_index::{
-    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, QueryAnswer, QueryStats, RrIndex,
-    SentinelState, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
+    IndexConfig, IndexError, IndexMetrics, MetricsSnapshot, PoolView, QueryAnswer, QueryStats,
+    RrIndex, SentinelState, TraceCell, Validation, R2_STREAM, SENTINEL_WARMUP_CHUNKS,
 };
-use subsim_sketch::{evaluate_pool_sketched_sharded, SketchedPool, MAX_PRECISION};
+use subsim_sketch::{SketchedPool, MAX_PRECISION};
 
 /// One shard's regenerated `R₂` chunk stream during a precision
 /// promotion: the owned global chunk ids plus the fresh generation
@@ -115,6 +116,10 @@ pub struct ShardedSnapshot {
     /// over the union warmup prefix and applied to every shard's
     /// truncated chunks; hit counters are indexed by **global** chunk id.
     sentinel: Option<SentinelState>,
+    /// This snapshot's selection trace over the merged shards. It lives
+    /// here, not on the per-shard `Arc<ShardSnapshot>`s that repair
+    /// reuses across versions, and is never carried into a successor.
+    trace: TraceCell,
 }
 
 impl ShardedSnapshot {
@@ -168,6 +173,38 @@ impl ShardedSnapshot {
 
     fn idx_refs(&self) -> Vec<&InvertedIndex> {
         self.shards.iter().map(|sh| &sh.idx1).collect()
+    }
+
+    /// The certification view over every shard. The sentinel tier
+    /// filters `R₁` per round, so only the plain and sketched tiers read
+    /// the cached per-shard indexes.
+    fn view(&self, threads: usize) -> PoolView<'_> {
+        let validation = match self.sketch_refs() {
+            Some(sketches) => Validation::Sketched(sketches),
+            None => Validation::Exact {
+                r2s: self.r2_refs(),
+                sentinel: self
+                    .sentinel
+                    .as_ref()
+                    .map(|st| &st.set)
+                    .filter(|z| !z.is_empty()),
+            },
+        };
+        PoolView {
+            graph: &self.graph,
+            r1s: self.r1_refs(),
+            idxs: Some(self.idx_refs()),
+            validation,
+            threads,
+        }
+    }
+
+    /// Refreshes `metrics`' resident-memory gauges from every shard.
+    fn record_gauges(&self, metrics: &IndexMetrics) {
+        metrics.record_pools(
+            self.shards.iter().flat_map(|sh| [&sh.r1, &sh.r2]),
+            self.shards.iter().filter_map(|sh| sh.sketch.as_ref()),
+        );
     }
 
     fn sketch_refs(&self) -> Option<Vec<&SketchedPool>> {
@@ -286,7 +323,10 @@ impl ShardedDeltaIndex {
                 })
                 .collect(),
             sentinel: None,
+            trace: TraceCell::default(),
         };
+        let metrics = IndexMetrics::default();
+        snap.record_gauges(&metrics);
         Ok(ShardedDeltaIndex {
             config,
             shards,
@@ -295,7 +335,7 @@ impl ShardedDeltaIndex {
                 vg,
                 pools: (0..shards).map(|_| WorkerPool::new(per_shard)).collect(),
             }),
-            metrics: IndexMetrics::default(),
+            metrics,
         })
     }
 
@@ -380,50 +420,19 @@ impl ShardedDeltaIndex {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            let cert_start = Instant::now();
-            // Sentinel snapshots re-certify through the HIST-style round
-            // on the sharded refs — same merged counts, same union-length
-            // bounds — so the answer keeps the full (k, ε, δ) guarantee.
-            // Sketched snapshots run the slack-adjusted round on the
-            // merged per-shard registers (max is order-independent, so
-            // the estimate matches the sequential index bit for bit).
-            let (seeds, lower, upper, slack_failed) = if let Some(sketches) = snap.sketch_refs() {
-                let eval = evaluate_pool_sketched_sharded(
-                    &snap.r1_refs(),
-                    Some(&snap.idx_refs()),
-                    &sketches,
-                    k,
-                    delta_iter,
-                    delta_iter,
-                    self.config.threads,
-                );
-                let slack = eval.failed_on_slack(target);
-                (eval.seeds, eval.lower, eval.upper, slack)
-            } else {
-                let eval = match snap.sentinel.as_ref().filter(|st| !st.set.is_empty()) {
-                    Some(st) => evaluate_pool_sentinel_sharded(
-                        &snap.r1_refs(),
-                        &snap.r2_refs(),
-                        &st.set,
-                        &snap.graph,
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                    None => evaluate_pool_sharded_indexed(
-                        &snap.r1_refs(),
-                        &snap.idx_refs(),
-                        &snap.r2_refs(),
-                        k,
-                        delta_iter,
-                        delta_iter,
-                        self.config.threads,
-                    ),
-                };
-                (eval.seeds, eval.lower, eval.upper, false)
-            };
-            self.metrics.record_selection(cert_start.elapsed());
+            // One tier-aware round over the merged shards — same summed
+            // counts, same union-length bounds, and (max being
+            // order-independent) the same merged sketch registers as the
+            // sequential index — read from the snapshot's selection
+            // trace when it reaches `k`.
+            let round = snap.trace.certify(
+                || snap.view(self.config.threads),
+                k,
+                delta_iter,
+                target,
+                &self.metrics,
+            );
+            let (seeds, lower, upper) = (round.seeds, round.lower, round.upper);
             let certified = if upper <= 0.0 {
                 false
             } else {
@@ -451,7 +460,7 @@ impl ShardedDeltaIndex {
             // that failed on sketch slack promotes register precision
             // instead of growing the pool — every shard promotes in the
             // same step, so shards never serve at mixed precision.
-            if slack_failed {
+            if round.slack_failed {
                 let observed = snap
                     .shards
                     .first()
@@ -554,6 +563,7 @@ impl ShardedDeltaIndex {
             chunks: base.chunks,
             shards: new_shards,
             sentinel: base.sentinel.clone(),
+            trace: TraceCell::default(),
         });
         self.publish(Arc::clone(&snap));
         Ok((snap, regenerated))
@@ -729,6 +739,7 @@ impl ShardedDeltaIndex {
             chunks,
             shards: cur_shards,
             sentinel,
+            trace: TraceCell::default(),
         });
         self.publish(Arc::clone(&snap));
         Ok((snap, added))
@@ -1153,6 +1164,7 @@ impl ShardedDeltaIndex {
             chunks: base.chunks,
             shards: new_shards,
             sentinel: new_sentinel,
+            trace: TraceCell::default(),
         });
         self.publish(Arc::clone(&snap));
         report.version = snap.version;
@@ -1252,7 +1264,10 @@ impl ShardedDeltaIndex {
                 .map(|((s1, s2), sk)| Arc::new(ShardSnapshot::new(s1, s2, sk.take())))
                 .collect(),
             sentinel,
+            trace: TraceCell::default(),
         };
+        let metrics = IndexMetrics::default();
+        snap.record_gauges(&metrics);
         Ok(ShardedDeltaIndex {
             config,
             shards,
@@ -1261,11 +1276,12 @@ impl ShardedDeltaIndex {
                 vg,
                 pools: (0..shards).map(|_| WorkerPool::new(per_shard)).collect(),
             }),
-            metrics: IndexMetrics::default(),
+            metrics,
         })
     }
 
     fn publish(&self, snap: Arc<ShardedSnapshot>) {
+        snap.record_gauges(&self.metrics);
         *self.snapshot.write().expect("snapshot lock poisoned") = snap;
         self.metrics
             .snapshot_publishes

@@ -537,3 +537,48 @@ fn lt_sharded_snapshot_round_trips_and_refuses_ic_servers() {
     assert!(msg.contains("Lt") && msg.contains("SubsimIc"), "{msg}");
     std::fs::remove_file(&path).ok();
 }
+
+/// The resident-memory gauges report on the versioned stacks too — on
+/// every publish (growth, repair, ladder promotion) and from a loaded
+/// pool — with the sketch tier's bytes and the exact bytes it displaces.
+#[test]
+fn pool_byte_gauges_report_on_versioned_stacks() {
+    let g = graph(200, 61);
+    let op = GraphDelta::new().insert_edge(7, 3, 0.6);
+    for sketch in [0usize, 8] {
+        let cfg = if sketch == 0 {
+            config()
+        } else {
+            config().sketch(sketch)
+        };
+        let conc = subsim_delta::ConcurrentDeltaIndex::new(g.clone(), cfg).unwrap();
+        let sharded = ShardedDeltaIndex::new(g.clone(), cfg, 2).unwrap();
+        conc.warm(256).unwrap();
+        sharded.warm(256).unwrap();
+        for (label, m) in [
+            ("concurrent", conc.metrics()),
+            ("sharded", sharded.metrics()),
+        ] {
+            assert!(m.exact_pool_bytes > 0, "{label} sketch={sketch}");
+            assert_eq!(
+                m.sketch_pool_bytes > 0,
+                sketch > 0,
+                "{label} sketch={sketch}"
+            );
+            assert_eq!(m.sketch_displaced_bytes > 0, sketch > 0, "{label}");
+        }
+        // Both stacks hold the same union pool, so they agree on every
+        // gauge, before and after a repair.
+        let (a, b) = (conc.metrics(), sharded.metrics());
+        assert_eq!(a.exact_pool_bytes, b.exact_pool_bytes, "sketch={sketch}");
+        assert_eq!(a.sketch_displaced_bytes, b.sketch_displaced_bytes);
+        conc.apply_delta(&op).unwrap();
+        sharded.apply_delta(&op).unwrap();
+        let (a, b) = (conc.metrics(), sharded.metrics());
+        assert_eq!(a.exact_pool_bytes, b.exact_pool_bytes, "sketch={sketch}");
+        assert!(a.exact_pool_bytes > 0);
+        // A pool handed over before any publish reports at once.
+        let loaded = subsim_delta::ConcurrentDeltaIndex::from_index(conc.into_index());
+        assert_eq!(loaded.metrics().exact_pool_bytes, b.exact_pool_bytes);
+    }
+}

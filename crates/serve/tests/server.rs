@@ -8,11 +8,11 @@ use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use subsim_delta::NullSink;
+use subsim_delta::{NullSink, RepairReport, ServeError, ServeIndex};
 use subsim_diffusion::RrStrategy;
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
-use subsim_index::{IndexConfig, TenantMetrics};
+use subsim_index::{IndexConfig, QueryAnswer, TenantMetrics};
 use subsim_serve::{encode_frame, serve_framed, Listener, ServerConfig, ShardedDeltaIndex};
 
 fn config() -> IndexConfig {
@@ -308,4 +308,94 @@ fn stale_socket_is_unlinked_but_regular_files_are_refused() {
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
     assert_eq!(std::fs::read(&path).unwrap(), b"precious");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A [`ServeIndex`] whose queries panic at one `k`, standing in for any
+/// bug deep in a query path.
+struct PanicsAtK<'a> {
+    inner: &'a ShardedDeltaIndex,
+    k: usize,
+}
+
+impl ServeIndex for PanicsAtK<'_> {
+    fn run_query(
+        &self,
+        k: usize,
+        epsilon: f64,
+        delta: f64,
+        pin: Option<u64>,
+    ) -> Result<QueryAnswer, ServeError> {
+        assert_ne!(k, self.k, "injected query panic");
+        self.inner.run_query(k, epsilon, delta, pin)
+    }
+
+    fn apply_delta_line(&self, op: &str) -> Result<RepairReport, ServeError> {
+        self.inner.apply_delta_line(op)
+    }
+
+    fn version(&self) -> Option<u64> {
+        ServeIndex::version(self.inner)
+    }
+}
+
+/// A query that panics is answered `err internal`, counted, and leaves
+/// its worker alive: with a single worker, every later frame on the same
+/// connection is still answered, in order.
+#[test]
+fn panicking_query_answers_err_internal_and_worker_survives() {
+    let g = graph();
+    let inner = ShardedDeltaIndex::new(g.clone(), config(), 2).unwrap();
+    let index = PanicsAtK {
+        inner: &inner,
+        k: 3,
+    };
+    let reference = ShardedDeltaIndex::new(g, config(), 2).unwrap();
+    let path = sock_path("panic");
+    let tenants = TenantMetrics::new();
+    let server_cfg = ServerConfig {
+        workers: 1,
+        delta: 0.01,
+        ..ServerConfig::default()
+    };
+    let seeds = |k: usize| {
+        let ans = reference.query(k, 0.2, 0.01).unwrap();
+        ans.seeds
+            .iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let frames = ["1 0.2", "3 0.2", "2 0.2", "3 0.2", "4 0.2"];
+    let expected = [
+        seeds(1),
+        "err internal".to_string(),
+        seeds(2),
+        "err internal".to_string(),
+        seeds(4),
+    ];
+
+    let report = std::thread::scope(|scope| {
+        let (listener, guard) = Listener::bind_unix(&path).unwrap();
+        let (index, tenants, server_cfg) = (&index, &tenants, &server_cfg);
+        let server = scope.spawn(move || {
+            let report = serve_framed(index, vec![listener], server_cfg, tenants, &NullSink);
+            drop(guard);
+            report
+        });
+        let mut stream = connect(&path);
+        for frame in frames {
+            send_line(&mut stream, frame);
+        }
+        for want in &expected {
+            assert_eq!(&read_reply(&mut stream), want);
+        }
+        send_line(&mut stream, "shutdown");
+        assert_eq!(read_reply(&mut stream), "ok shutdown");
+        server.join().unwrap().unwrap()
+    });
+    assert!(report.shutdown);
+    assert_eq!(report.worker_panics, 2);
+    let tenant = tenants.tenant("default");
+    assert_eq!(tenant.failed.load(Ordering::Relaxed), 2);
+    assert_eq!(tenant.answered.load(Ordering::Relaxed), 3);
 }

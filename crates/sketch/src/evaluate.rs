@@ -23,10 +23,8 @@
 //! undeflated estimate would have passed), so growing the pool is waste
 //! — promote register precision instead.
 
-use subsim_core::bounds::{opim_lower_bound, opim_upper_bound};
-use subsim_core::coverage::{
-    greedy_max_coverage_indexed, greedy_max_coverage_sharded, GreedyConfig,
-};
+use subsim_core::bounds::opim_lower_bound;
+use subsim_core::SelectionTrace;
 use subsim_diffusion::{InvertedIndex, RrCollection};
 use subsim_graph::NodeId;
 
@@ -100,12 +98,11 @@ pub fn evaluate_pool_sketched(
     delta_u: f64,
     threads: usize,
 ) -> SketchedEvaluation {
-    evaluate_pool_sketched_sharded(&[r1], None, &[sketch], k, delta_l, delta_u, threads)
+    evaluate_pool_sketched_sharded(&[r1], &[sketch], k, delta_l, delta_u, threads)
 }
 
 /// Sharded variant: `r1s[s]` / `sketches[s]` hold shard `s`'s disjoint
-/// slice of each half. Pass cached per-shard inverted indexes via `idxs`
-/// to skip the per-query build (the serving path does).
+/// slice of each half.
 ///
 /// Selection state is identical to the union's (merged greedy), and the
 /// sketch union folds every shard's registers into one scratch array
@@ -114,57 +111,106 @@ pub fn evaluate_pool_sketched(
 /// byte-identical for any shard count.
 pub fn evaluate_pool_sketched_sharded(
     r1s: &[&RrCollection],
-    idxs: Option<&[&InvertedIndex]>,
     sketches: &[&SketchedPool],
     k: usize,
     delta_l: f64,
     delta_u: f64,
     threads: usize,
 ) -> SketchedEvaluation {
-    assert!(
-        !r1s.is_empty() && !sketches.is_empty(),
-        "need at least one shard"
-    );
-    let n = r1s[0].graph_n();
-    for rr in r1s {
-        assert_eq!(rr.graph_n(), n, "pool shards are over different graphs");
-    }
-    let precision = sketches[0].precision();
-    let mut r2_len = 0u64;
-    for s in sketches {
-        assert_eq!(s.graph_n(), n, "sketch shards are over different graphs");
-        assert_eq!(s.precision(), precision, "sketch shards at mixed precision");
-        r2_len += s.len_sets() as u64;
-    }
-    let r1_len: u64 = r1s.iter().map(|rr| rr.len() as u64).sum();
-    assert!(r1_len > 0 && r2_len > 0, "pool halves must be non-empty");
+    SketchedTrace::build(r1s, None, sketches, k, threads).read(k, delta_l, delta_u)
+}
 
-    let cfg = GreedyConfig::standard(k).with_threads(threads);
-    let out = match idxs {
-        Some(idxs) => greedy_max_coverage_indexed(r1s, idxs, &cfg),
-        None => greedy_max_coverage_sharded(r1s, &cfg),
-    };
-    let upper = opim_upper_bound(out.coverage_upper, r1_len, n, delta_u);
+/// A [`SelectionTrace`] plus the sketched validation side: the union
+/// estimate of every seed prefix. Register max is order-independent, so
+/// the registers after merging `seeds[..j]` one seed at a time equal
+/// those of one merge over the prefix, and reading the trace at any
+/// `k ≤ max_k` gives the [`SketchedEvaluation`] a fresh round at `k`
+/// computes, bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SketchedTrace {
+    selection: SelectionTrace,
+    r2_len: u64,
+    rel_err: f64,
+    /// `estimate_r2[j]`: union estimate of `seeds[..j]`, clamped to
+    /// `|R₂|`.
+    estimate_r2: Vec<f64>,
+}
 
-    let mut regs = vec![0u8; hll::num_registers(precision)];
-    for s in sketches {
-        s.merge_union_into(&out.seeds, &mut regs);
+impl SketchedTrace {
+    /// Builds the trace at `k`: standard greedy over the exact `r1s`
+    /// (with cached per-shard indexes when given), then one register
+    /// fold per seed across every shard's sketch.
+    pub fn build(
+        r1s: &[&RrCollection],
+        idxs: Option<&[&InvertedIndex]>,
+        sketches: &[&SketchedPool],
+        k: usize,
+        threads: usize,
+    ) -> Self {
+        assert!(
+            !r1s.is_empty() && !sketches.is_empty(),
+            "need at least one shard"
+        );
+        let n = r1s[0].graph_n();
+        for rr in r1s {
+            assert_eq!(rr.graph_n(), n, "pool shards are over different graphs");
+        }
+        let precision = sketches[0].precision();
+        let mut r2_len = 0u64;
+        for s in sketches {
+            assert_eq!(s.graph_n(), n, "sketch shards are over different graphs");
+            assert_eq!(s.precision(), precision, "sketch shards at mixed precision");
+            r2_len += s.len_sets() as u64;
+        }
+        let r1_len: u64 = r1s.iter().map(|rr| rr.len() as u64).sum();
+        assert!(r1_len > 0 && r2_len > 0, "pool halves must be non-empty");
+
+        let selection = SelectionTrace::build(r1s, idxs, k, threads);
+        let seeds = selection.all_seeds();
+        let mut regs = vec![0u8; hll::num_registers(precision)];
+        let mut estimate_r2 = Vec::with_capacity(seeds.len() + 1);
+        estimate_r2.push(hll::estimate(&regs).min(r2_len as f64));
+        for v in seeds {
+            for s in sketches {
+                s.merge_union_into(std::slice::from_ref(v), &mut regs);
+            }
+            estimate_r2.push(hll::estimate(&regs).min(r2_len as f64));
+        }
+        SketchedTrace {
+            selection,
+            r2_len,
+            rel_err: hll::rel_std_error(precision),
+            estimate_r2,
+        }
     }
-    let rel_err = hll::rel_std_error(precision);
-    let estimate_r2 = hll::estimate(&regs).min(r2_len as f64);
-    let deflated_r2 = (estimate_r2 * (1.0 - SLACK_SIGMAS * rel_err)).max(0.0);
-    let lower = opim_lower_bound(deflated_r2, r2_len, n, delta_l);
-    let lower_undeflated = opim_lower_bound(estimate_r2, r2_len, n, delta_l);
 
-    SketchedEvaluation {
-        coverage_r1: out.coverage(),
-        seeds: out.seeds,
-        estimate_r2,
-        deflated_r2,
-        lower,
-        lower_undeflated,
-        upper,
-        rel_err,
+    /// The selection side.
+    pub fn selection(&self) -> &SelectionTrace {
+        &self.selection
+    }
+
+    /// The largest `k` this trace answers.
+    pub fn max_k(&self) -> usize {
+        self.selection.max_k()
+    }
+
+    /// The sketched certification round at `k` (`k ≤ max_k`).
+    pub fn read(&self, k: usize, delta_l: f64, delta_u: f64) -> SketchedEvaluation {
+        let sel = &self.selection;
+        let seeds = sel.seeds(k);
+        let n = sel.graph_n();
+        let estimate_r2 = self.estimate_r2[seeds.len()];
+        let deflated_r2 = (estimate_r2 * (1.0 - SLACK_SIGMAS * self.rel_err)).max(0.0);
+        SketchedEvaluation {
+            seeds: seeds.to_vec(),
+            coverage_r1: sel.coverage_r1(k),
+            estimate_r2,
+            deflated_r2,
+            lower: opim_lower_bound(deflated_r2, self.r2_len, n, delta_l),
+            lower_undeflated: opim_lower_bound(estimate_r2, self.r2_len, n, delta_l),
+            upper: sel.upper(k, delta_u),
+            rel_err: self.rel_err,
+        }
     }
 }
 
@@ -237,7 +283,7 @@ mod tests {
             let sk_parts = sk.split(shards);
             let r1_refs: Vec<&RrCollection> = r1_parts.iter().collect();
             let sk_refs: Vec<&SketchedPool> = sk_parts.iter().collect();
-            let got = evaluate_pool_sketched_sharded(&r1_refs, None, &sk_refs, 3, 0.04, 0.04, 1);
+            let got = evaluate_pool_sketched_sharded(&r1_refs, &sk_refs, 3, 0.04, 0.04, 1);
             assert_eq!(got, seq, "shards={shards}");
         }
     }

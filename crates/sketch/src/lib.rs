@@ -34,7 +34,8 @@ pub mod hll;
 pub mod pool;
 
 pub use evaluate::{
-    evaluate_pool_sketched, evaluate_pool_sketched_sharded, SketchedEvaluation, SLACK_SIGMAS,
+    evaluate_pool_sketched, evaluate_pool_sketched_sharded, SketchedEvaluation, SketchedTrace,
+    SLACK_SIGMAS,
 };
 pub use hll::{DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION};
 pub use pool::{ChunkSketch, SketchedPool, SKETCH_MAGIC};

@@ -38,7 +38,7 @@ use subsim_delta::{
 };
 use subsim_diffusion::RrStrategy;
 use subsim_graph::{Graph, NodeId};
-use subsim_index::IndexConfig;
+use subsim_index::{IndexConfig, MetricsSnapshot};
 use subsim_serve::ShardedDeltaIndex;
 
 /// The `δ` every simulated query uses.
@@ -123,6 +123,26 @@ pub struct SimOutcome {
 /// reweight, tracked against the evolving edge set so they stay
 /// applicable), ~5% malformed lines. Pure function of `(g, seed, steps)`.
 pub fn generate_script(g: &Graph, seed: u64, steps: usize) -> Vec<String> {
+    script_with_k_span(g, seed, steps, 3)
+}
+
+/// Largest `k` [`generate_mixed_k_script`] draws: three past the
+/// simulated sentinel set's size, so queries land below, at and above
+/// `b`.
+pub const MIXED_K_MAX: usize = 5;
+
+/// [`generate_script`]'s line mix with `k` drawn from `1..=MIXED_K_MAX`
+/// instead of `1..=3`: consecutive queries on one snapshot alternate
+/// between reading its selection trace and rebuilding a longer one, and
+/// sentinel pools see `k < b`, `k = b` and `k > b`. Pure function of
+/// `(g, seed, steps)`.
+pub fn generate_mixed_k_script(g: &Graph, seed: u64, steps: usize) -> Vec<String> {
+    script_with_k_span(g, seed, steps, MIXED_K_MAX)
+}
+
+/// The script generator behind both mixes; queries draw `k` uniformly
+/// from `1..=k_span`.
+fn script_with_k_span(g: &Graph, seed: u64, steps: usize, k_span: usize) -> Vec<String> {
     let mut rng = subsim_sampling::rng_from_seed(seed);
     let n = g.n() as NodeId;
     let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
@@ -134,7 +154,7 @@ pub fn generate_script(g: &Graph, seed: u64, steps: usize) -> Vec<String> {
     for i in 0..steps {
         let jitter = (i + 1) as f64 * 1e-9;
         let query = |rng: &mut dyn FnMut() -> f64, pin: Option<u64>| {
-            let k = 1 + (rng() * 3.0) as usize;
+            let k = 1 + (rng() * k_span as f64) as usize;
             let eps = 0.3 + rng() * 0.2 + jitter;
             match pin {
                 Some(v) => format!("{k} {eps:.9} @{v}"),
@@ -246,7 +266,14 @@ fn run_concurrent_cfg(
     if warm > 0 {
         index.warm(warm).expect("index warmup");
     }
-    run_serve_stack(&index, script)
+    let (outcome, rounds) = run_serve_stack(&index, script);
+    check_counters(
+        "concurrent",
+        &index.metrics(),
+        rounds,
+        index.load().pool_len(),
+    );
+    outcome
 }
 
 /// Runs `script` through an N-shard [`ShardedDeltaIndex`] under an
@@ -263,7 +290,30 @@ fn run_sharded_cfg(
     if warm > 0 {
         index.warm(warm).expect("index warmup");
     }
-    run_serve_stack(&index, script)
+    let (outcome, rounds) = run_serve_stack(&index, script);
+    let label = format!("sharded({shards})");
+    check_counters(&label, &index.metrics(), rounds, index.load().pool_len());
+    outcome
+}
+
+/// Invariants between a serving stack's counters after a session that
+/// certified `rounds` rounds in total and ended on a pool of `pool_len`
+/// sets per half: every round is exactly one selection-trace hit or
+/// build, and a non-empty pool reports resident bytes.
+fn check_counters(label: &str, m: &MetricsSnapshot, rounds: u64, pool_len: usize) {
+    assert_eq!(
+        m.selection_trace_hits + m.selection_trace_builds,
+        rounds,
+        "{label}: trace hits ({}) + builds ({}) must equal certification rounds",
+        m.selection_trace_hits,
+        m.selection_trace_builds
+    );
+    if pool_len > 0 {
+        assert!(
+            m.exact_pool_bytes + m.sketch_pool_bytes > 0,
+            "{label}: a pool of {pool_len} sets per half reports no resident bytes"
+        );
+    }
 }
 
 /// Replays `script` against the sequential [`DeltaIndex`] under an
@@ -333,8 +383,10 @@ pub fn run_sharded_lt(g: &Graph, script: &[String], shards: usize) -> SimOutcome
 }
 
 /// Drives any [`ServeIndex`] through [`serve_queries`] (one query
-/// worker) and canonicalizes the outcome.
-fn run_serve_stack<I: ServeIndex>(index: &I, script: &[String]) -> SimOutcome {
+/// worker) and canonicalizes the outcome; also returns the certification
+/// rounds the answered queries ran (a failed line runs none: stale pins
+/// fail before the first round, and deltas are barriers).
+fn run_serve_stack<I: ServeIndex>(index: &I, script: &[String]) -> (SimOutcome, u64) {
     let input = format!("{}\n", script.join("\n"));
     let mut output = Vec::new();
     let rec = Recorder::default();
@@ -352,9 +404,13 @@ fn run_serve_stack<I: ServeIndex>(index: &I, script: &[String]) -> SimOutcome {
     let mut answered_order: Vec<String> = Vec::new();
     let mut failed: HashMap<String, String> = HashMap::new();
     let mut applied: HashMap<String, String> = HashMap::new();
+    let mut rounds = 0u64;
     for event in &events {
         match event {
-            ServeEvent::Answered { line, .. } => answered_order.push(line.clone()),
+            ServeEvent::Answered { line, stats } => {
+                answered_order.push(line.clone());
+                rounds += stats.rounds as u64;
+            }
             ServeEvent::LineFailed { line, error } => {
                 let prev = failed.insert(line.clone(), render_failure(error));
                 assert!(prev.is_none(), "script lines must be unique: {line:?}");
@@ -404,10 +460,11 @@ fn run_serve_stack<I: ServeIndex>(index: &I, script: &[String]) -> SimOutcome {
                 .clone()
         })
         .collect();
-    SimOutcome {
+    let outcome = SimOutcome {
         records,
         final_version: ServeIndex::version(index).unwrap_or(0),
-    }
+    };
+    (outcome, rounds)
 }
 
 /// Replays `script` against the sequential [`DeltaIndex`] — the
@@ -636,6 +693,31 @@ pub fn check_seed_sharded_lt_sketch(
     let model = run_model_cfg(g, &script, sim_config_lt_sketch(), SKETCH_WARM_SETS);
     let label = format!("sharded({shards})+lt+sketch");
     diff_outcomes(&label, seed, steps, &script, &sharded, &model)
+}
+
+/// [`check_seed`] over a [`generate_mixed_k_script`] schedule, on every
+/// tier (plain, sentinel, sketched) and every stack (concurrent, and
+/// sharded at 1, 2 and 3 shards): warm queries read and lengthen each
+/// snapshot's selection trace, and every record must still match the
+/// sequential model, which runs greedy fresh on every round.
+pub fn check_seed_mixed_k(g: &Graph, seed: u64, steps: usize) -> Result<(), String> {
+    let script = generate_mixed_k_script(g, seed, steps);
+    for (tier, config, warm) in [
+        ("plain", sim_config(), 0),
+        ("sentinel", sim_config_sentinel(), SENTINEL_WARM_SETS),
+        ("sketch", sim_config_sketch(), SKETCH_WARM_SETS),
+    ] {
+        let model = run_model_cfg(g, &script, config, warm);
+        let concurrent = run_concurrent_cfg(g, &script, config, warm);
+        let label = format!("concurrent+{tier}+mixed-k");
+        diff_outcomes(&label, seed, steps, &script, &concurrent, &model)?;
+        for shards in 1..=3 {
+            let sharded = run_sharded_cfg(g, &script, shards, config, warm);
+            let label = format!("sharded({shards})+{tier}+mixed-k");
+            diff_outcomes(&label, seed, steps, &script, &sharded, &model)?;
+        }
+    }
+    Ok(())
 }
 
 /// Reports the first divergence between a serving-stack outcome and the

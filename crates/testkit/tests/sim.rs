@@ -8,7 +8,10 @@
 
 use subsim_graph::generators::barabasi_albert;
 use subsim_graph::{Graph, WeightModel};
-use subsim_testkit::{check_seed, generate_script, run_concurrent, run_sequential_model};
+use subsim_testkit::{
+    check_seed, check_seed_mixed_k, generate_mixed_k_script, generate_script, run_concurrent,
+    run_sequential_model, MIXED_K_MAX,
+};
 
 fn sim_graph() -> Graph {
     barabasi_albert(48, 2, WeightModel::Wc, 17)
@@ -159,5 +162,38 @@ fn heavy_sentinel_seed_sweep() {
             subsim_testkit::check_seed_sharded_sentinel(&g, seed, 80, shards)
                 .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
         }
+    }
+}
+
+#[test]
+fn mixed_k_scripts_span_the_sentinel_size() {
+    // The mixed-k schedule must put queries below, at and above the
+    // simulated sentinel size (b = 2), or the trace battery below would
+    // not exercise every sentinel read.
+    let g = sim_graph();
+    let script = generate_mixed_k_script(&g, 4, 200);
+    let ks: std::collections::BTreeSet<usize> = script
+        .iter()
+        .filter(|l| !l.starts_with("delta") && !l.starts_with("bogus"))
+        .filter_map(|l| l.split_whitespace().next()?.parse().ok())
+        .collect();
+    assert_eq!(ks, (1..=MIXED_K_MAX).collect());
+    // The original generator is untouched: recorded seeds keep their
+    // meaning.
+    assert_ne!(script, generate_script(&g, 4, 200));
+    assert!(generate_script(&g, 4, 200)
+        .iter()
+        .filter(|l| !l.starts_with("delta") && !l.starts_with("bogus"))
+        .filter_map(|l| l.split_whitespace().next()?.parse::<usize>().ok())
+        .all(|k| (1..=3).contains(&k)));
+}
+
+#[test]
+fn mixed_k_sessions_read_traces_and_match_the_model() {
+    // Every stack and tier, with the trace counters and resident-byte
+    // gauges checked after each session.
+    let g = sim_graph();
+    for seed in 0..4 {
+        check_seed_mixed_k(&g, seed, 40).unwrap();
     }
 }

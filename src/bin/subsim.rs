@@ -884,6 +884,12 @@ fn serve_framed_transport<I: ServeIndex>(index: &I, args: &ServerArgs) -> Result
             ""
         },
     );
+    if report.worker_panics > 0 {
+        eprintln!(
+            "framed server: {} queries panicked and were answered `err internal`",
+            report.worker_panics
+        );
+    }
     eprintln!("tenants: {}", tenants.to_json());
     Ok(())
 }
